@@ -22,7 +22,7 @@ class VerifyConfig:
     seed: int = 0
     samples: int = 200
     trials: int = 20000
-    census_limit: int = 10
+    census_limit: int = game.CENSUS_LIMIT
 
 
 def _check_sequence_methods(cfg: VerifyConfig) -> CheckResult:
@@ -57,7 +57,7 @@ def _check_separator_weight(cfg: VerifyConfig) -> CheckResult:
     for n in range(1, n_max + 1):
         total = poly.ZERO
         for shape in tree.increasing_tree_shapes(n):
-            total = total + lattice.rank_generating_function(shape)
+            total = total + lattice.PruningLattice(shape).rank_polynomial()
         if total != seq.separator_weight_polynomial(n):
             return CheckResult(name, False, f"n={n}: {total} vs {seq.separator_weight_polynomial(n)}")
     return CheckResult(name, True, f"rank polynomials sum correctly through n={n_max}")

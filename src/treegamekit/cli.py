@@ -37,9 +37,12 @@ def _env_cap(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"TGK_MAX_N must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"TGK_MAX_N must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _positive(name: str, value: int) -> int:
@@ -67,12 +70,10 @@ def _exact(value):
 
 def _handle_seq(args) -> Handled:
     n = _positive("--n", args.n)
-    cap = _env_cap(10)
+    cap = _env_cap(game.CENSUS_LIMIT)
+    if (args.all_methods or args.method == "census") and n > cap:
+        raise ValueError(f"census method is capped at n = {cap}; set TGK_MAX_N to raise it (factorial cost)")
     if args.all_methods:
-        if n > cap:
-            raise ValueError(
-                f"census method is capped at n = {cap}; set TGK_MAX_N to raise it (factorial cost)"
-            )
         table = seq.census_table(n, census_limit=cap)
         lines = []
         agree = True
@@ -92,10 +93,6 @@ def _handle_seq(args) -> Handled:
     elif method == "egf":
         values = seq.census_by_egf(n)
     elif method == "census":
-        if n > cap:
-            raise ValueError(
-                f"census method is capped at n = {cap}; set TGK_MAX_N to raise it (factorial cost)"
-            )
         values = [seq.census_by_tree_enumeration(i, limit=cap) for i in range(1, n + 1)]
     elif method == "split":
         values = seq.census_by_split_recurrence(n)
@@ -217,7 +214,7 @@ def _handle_winner(args) -> Handled:
 
 def _handle_tamari_fiber(args) -> Handled:
     t = parse_plane_tree(args.tree)
-    fib = tamari.fiber(t, limit=_env_cap(8))
+    fib = tamari.fiber(t, limit=_env_cap(tamari.ENUMERATION_LIMIT))
     lines = [
         f"top\t{format_permutation(fib.top)}",
         f"bottom\t{format_permutation(fib.bottom)}",
@@ -234,31 +231,18 @@ def _handle_tamari_fiber(args) -> Handled:
     return 0, payload, lines
 
 
-def _tamari_pair(args) -> tuple[tamari.TamariElement, tamari.TamariElement]:
+def _handle_tamari_op(args, op) -> Handled:
     a = tamari.TamariElement.from_tree(parse_plane_tree(args.a))
     b = tamari.TamariElement.from_tree(parse_plane_tree(args.b))
-    return a, b
-
-
-def _handle_tamari_join(args) -> Handled:
-    a, b = _tamari_pair(args)
-    result = tamari.tamari_join(a, b)
+    result = op(a, b)
     text = format_plane_tree(result.tree)
-    payload = {"command": "tamari-join", "a": args.a, "b": args.b, "tree": text, "fif": list(result.fif)}
-    return 0, payload, [text]
-
-
-def _handle_tamari_meet(args) -> Handled:
-    a, b = _tamari_pair(args)
-    result = tamari.tamari_meet(a, b)
-    text = format_plane_tree(result.tree)
-    payload = {"command": "tamari-meet", "a": args.a, "b": args.b, "tree": text, "fif": list(result.fif)}
+    payload = {"command": args.command, "a": args.a, "b": args.b, "tree": text, "fif": list(result.fif)}
     return 0, payload, [text]
 
 
 def _handle_tamari_verify(args) -> Handled:
     n = _positive("--n", args.n)
-    rep = tamari.verify_congruence(n, limit=_env_cap(8))
+    rep = tamari.verify_congruence(n, limit=_env_cap(tamari.ENUMERATION_LIMIT))
     payload = {"command": "tamari-verify", **rep.to_json()}
     return (0 if rep.ok else 1), payload, rep.to_lines()
 
@@ -313,7 +297,7 @@ def _handle_verify(args) -> Handled:
         seed=args.seed,
         samples=_positive("--samples", args.samples),
         trials=_positive("--trials", args.trials),
-        census_limit=_env_cap(10),
+        census_limit=_env_cap(game.CENSUS_LIMIT),
     )
     results = run_verify(cfg)
     ok = all(r.passed for r in results)
@@ -334,8 +318,8 @@ HANDLERS = {
     "prunings": _handle_prunings,
     "winner": _handle_winner,
     "tamari-fiber": _handle_tamari_fiber,
-    "tamari-join": _handle_tamari_join,
-    "tamari-meet": _handle_tamari_meet,
+    "tamari-join": lambda args: _handle_tamari_op(args, tamari.tamari_join),
+    "tamari-meet": lambda args: _handle_tamari_op(args, tamari.tamari_meet),
     "tamari-verify": _handle_tamari_verify,
     "euler": _handle_euler,
     "montecarlo": _handle_montecarlo,

@@ -12,10 +12,12 @@ the sequence in ``seq``.
 from __future__ import annotations
 
 import enum
-import itertools
 from functools import lru_cache
 
-from .tree import PlaneTree
+from .tree import PlaneTree, parent_vectors
+
+# Census cap unless a caller raises it: n = 10 already sweeps 9! trees.
+CENSUS_LIMIT = 10
 
 
 class Winner(enum.Enum):
@@ -50,7 +52,7 @@ def optimal_move(t: PlaneTree) -> int | None:
     raise AssertionError("winning position must have a losing child")
 
 
-def census_second_player_wins(n: int, limit: int = 10) -> int:
+def census_second_player_wins(n: int, limit: int = CENSUS_LIMIT) -> int:
     """Count increasing trees on n vertices that the second player wins.
 
     Sweeps all (n-1)! parent choices directly, so the cost is factorial;
@@ -60,11 +62,8 @@ def census_second_player_wins(n: int, limit: int = 10) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     if n > limit:
         raise ValueError(f"census of {n} exceeds the limit {limit}; raise it explicitly to proceed")
-    if n == 1:
-        return 1
     count = 0
-    ranges = [range(i) for i in range(1, n)]
-    for par in itertools.product(*ranges):
+    for par in parent_vectors(n):
         # one bottom-up sweep: a vertex whose mover loses marks its parent winnable
         w = [False] * n
         for v in range(n - 1, 0, -1):

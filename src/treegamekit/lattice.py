@@ -6,9 +6,12 @@ bitmasks over the preorder numbering of the base tree, so join and meet
 are bitwise or/and, the rank of a pruning is its edge count, and cover
 moves add one frontier vertex (a vertex outside whose parent is inside).
 
-The rank generating function of this lattice factors over root subtrees,
-which keeps it computable far beyond the sizes the lattice itself can be
-materialized at; both routes live here and are cross-checked in tests.
+The rank generating function of this lattice is the game polynomial, so
+``rank_generating_function`` is the product over root subtrees
+(``poly.game_polynomial``), computable far beyond the sizes a lattice can
+be materialized at.  ``PruningLattice.rank_polynomial`` reaches the same
+polynomial by enumerating the lattice; it is the cross-check, and the
+constructor refuses trees of more than ``MATERIALIZE_LIMIT = 20`` vertices.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .tree import (
     first_inversion_tree,
     index_labeled_tree,
     index_tree,
+    tree_of_index,
     vertex_count,
 )
 
@@ -129,32 +133,20 @@ class PruningLattice:
         """The pruning itself as a plane tree (base child order kept)."""
         if mask not in self._members:
             raise ValueError("mask is not a pruning of the base tree")
-
-        def build(v: int) -> PlaneTree:
-            return tuple(build(c) for c in self.index.children[v] if mask >> c & 1)
-
-        return build(0)
-
-
-def _rank_poly_product(t: PlaneTree) -> poly.Poly:
-    out = poly.ONE
-    for c in t:
-        out = out * (poly.ONE + poly.Q * _rank_poly_product(c))
-    return out
+        return tree_of_index([[c for c in kids if mask >> c & 1] for kids in self.index.children])
 
 
 def rank_generating_function(t: PlaneTree) -> poly.Poly:
-    """Sum of q^rank over prunings: by direct enumeration while the
-    lattice fits, by the product over root subtrees beyond that.
+    """Sum of q^rank over prunings.  This is the game polynomial, so it is
+    the product over root subtrees in ``poly.game_polynomial``;
+    ``PruningLattice.rank_polynomial`` enumerates the same sum.
 
     >>> str(rank_generating_function(((), ())))
     '1 + 2*q + q^2'
     >>> str(rank_generating_function((((),),)))
     '1 + q + q^2'
     """
-    if vertex_count(t) <= MATERIALIZE_LIMIT:
-        return PruningLattice(t).rank_polynomial()
-    return _rank_poly_product(t)
+    return poly.game_polynomial(t)
 
 
 def placements_match_prunings(p: Sequence[int]) -> bool:
@@ -163,7 +155,7 @@ def placements_match_prunings(p: Sequence[int]) -> bool:
     rank-preserving order isomorphism onto the tree's prunings."""
     lt = first_inversion_tree(p)
     idx, labels = index_labeled_tree(lt)
-    lat = PruningLattice(_strip_index(idx))
+    lat = PruningLattice(tree_of_index(idx.children))
     id_of = {lbl: v for v, lbl in enumerate(labels)}
 
     mapped: list[tuple[frozenset[int], int]] = []
@@ -186,7 +178,3 @@ def placements_match_prunings(p: Sequence[int]) -> bool:
             if (s1 <= s2) != (m1 & ~m2 == 0):
                 return False
     return True
-
-
-def _strip_index(idx: TreeIndex, v: int = 0) -> PlaneTree:
-    return tuple(_strip_index(idx, c) for c in idx.children[v])

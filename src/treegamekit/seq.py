@@ -128,7 +128,7 @@ def census_by_egf(n_max: int) -> list[int]:
     return out
 
 
-def census_by_tree_enumeration(n: int, limit: int = 10) -> int:
+def census_by_tree_enumeration(n: int, limit: int = game.CENSUS_LIMIT) -> int:
     """Direct game census over all increasing trees (factorial cost)."""
     return game.census_second_player_wins(n, limit=limit)
 
@@ -166,7 +166,7 @@ def census_by_complement_recurrence(n_max: int) -> list[int]:
 METHODS = ("stirling", "egf", "census", "split", "complement")
 
 
-def census_table(n_max: int, census_limit: int = 10) -> dict[str, list[int]]:
+def census_table(n_max: int, census_limit: int = game.CENSUS_LIMIT) -> dict[str, list[int]]:
     """Values 1..n_max for every method, keyed by method name."""
     return {
         "stirling": [census_by_stirling_sum(n) for n in range(1, n_max + 1)],

@@ -26,7 +26,7 @@ from .perm import (
     first_inversion_orbit,
     first_inversions,
 )
-from .report import CheckResult
+from .report import CheckResult, render_lines, results_json
 from .tree import (
     PlaneTree,
     eastpush_labeling,
@@ -142,16 +142,10 @@ class CongruenceReport:
         return all(c.passed for c in self.checks)
 
     def to_lines(self) -> list[str]:
-        return [c.line() for c in self.checks]
+        return render_lines(self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "details": c.details} for c in self.checks
-            ],
-        }
+        return {"n": self.n, "ok": self.ok, "checks": results_json(self.checks)}
 
 
 def _inversion_mask(p: Perm, pair_index: dict[tuple[int, int], int]) -> int:

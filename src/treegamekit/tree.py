@@ -232,8 +232,23 @@ def postorder_ids(idx: TreeIndex) -> list[int]:
     return out
 
 
-def tree_of_index(idx: TreeIndex, v: int = 0) -> PlaneTree:
-    return tuple(tree_of_index(idx, c) for c in idx.children[v])
+def tree_of_index(children: Sequence[Sequence[int]], v: int = 0) -> PlaneTree:
+    """The plane tree below ``v`` of a children table, where ``children[u]``
+    lists u's children in order (``TreeIndex.children`` is one)."""
+    return tuple(tree_of_index(children, c) for c in children[v])
+
+
+def _labeled_from_index(children: Sequence[Sequence[int]], labels: Sequence[int], v: int = 0) -> LabeledTree:
+    return (labels[v], tuple(_labeled_from_index(children, labels, c) for c in children[v]))
+
+
+def _children_table(parents: Sequence[int]) -> list[list[int]]:
+    """Children lists of vertices 0..n-1 when vertex v >= 1 has parent
+    ``parents[v - 1]``."""
+    kids: list[list[int]] = [[] for _ in range(len(parents) + 1)]
+    for v, par in enumerate(parents, start=1):
+        kids[par].append(v)
+    return kids
 
 
 def _root_chain(idx: TreeIndex, v: int) -> list[int]:
@@ -361,7 +376,7 @@ def eastpush_labeling(t: PlaneTree) -> LabeledTree:
             labels[c] = counter
             counter += 1
             stack.append(c)
-    return _labeled_from_index(idx, labels)
+    return _labeled_from_index(idx.children, labels)
 
 
 def westpop_labeling(t: PlaneTree) -> LabeledTree:
@@ -381,11 +396,7 @@ def westpop_labeling(t: PlaneTree) -> LabeledTree:
         counter += 1
         for c in reversed(idx.children[v]):
             stack.append(c)
-    return _labeled_from_index(idx, labels)
-
-
-def _labeled_from_index(idx: TreeIndex, labels: list[int], v: int = 0) -> LabeledTree:
-    return (labels[v], tuple(_labeled_from_index(idx, labels, c) for c in idx.children[v]))
+    return _labeled_from_index(idx.children, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +443,7 @@ def tree_from_first_inversions(t: Sequence[int]) -> PlaneTree:
     walk(n)
     if order != list(range(1, n + 1)):
         raise ValueError("table does not describe postorder parents of any plane tree")
-
-    def build(v: int) -> PlaneTree:
-        return tuple(build(c) for c in kids[v])
-
-    return build(n)
+    return tree_of_index(kids, n)
 
 
 # ---------------------------------------------------------------------------
@@ -493,41 +500,28 @@ def rooted_trees(n: int) -> tuple[PlaneTree, ...]:
     return tuple(sorted(distinct, key=lambda t: (len(format_plane_tree(t)), format_plane_tree(t))))
 
 
+def parent_vectors(n: int) -> Iterator[tuple[int, ...]]:
+    """Each vertex 1..n-1 picks a parent among the smaller vertices (entry
+    v - 1 is the parent of v): one vector per increasing tree.  Returns the
+    bare ``itertools.product`` iterator, as the census sweeps all (n-1)!."""
+    return itertools.product(*(range(i) for i in range(1, n)))
+
+
 def increasing_trees(n: int) -> Iterator[LabeledTree]:
     """All increasing trees on labels 1..n (children ordered by label),
     enumerated by choosing each label's parent among the smaller labels."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        yield (1, ())
-        return
-    for par in itertools.product(*(range(i) for i in range(1, n))):
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for child in range(1, n):
-            kids[par[child - 1]].append(child)
-
-        def build(v: int) -> LabeledTree:
-            return (v + 1, tuple(build(c) for c in kids[v]))
-
-        yield build(0)
+    for par in parent_vectors(n):
+        yield _labeled_from_index(_children_table(par), range(1, n + 1))
 
 
 def increasing_tree_shapes(n: int) -> Iterator[PlaneTree]:
     """Shapes of all increasing trees on n labels, children by label."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        yield ()
-        return
-    for par in itertools.product(*(range(i) for i in range(1, n))):
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for child in range(1, n):
-            kids[par[child - 1]].append(child)
-
-        def build(v: int) -> PlaneTree:
-            return tuple(build(c) for c in kids[v])
-
-        yield build(0)
+    for par in parent_vectors(n):
+        yield tree_of_index(_children_table(par))
 
 
 def random_plane_tree(n: int, rng: random.Random) -> PlaneTree:
@@ -535,11 +529,4 @@ def random_plane_tree(n: int, rng: random.Random) -> PlaneTree:
     uniform parent among 0..i-1, children kept in creation order."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        kids[rng.randrange(v)].append(v)
-
-    def build(v: int) -> PlaneTree:
-        return tuple(build(c) for c in kids[v])
-
-    return build(0)
+    return tree_of_index(_children_table([rng.randrange(v) for v in range(1, n)]))

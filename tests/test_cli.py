@@ -45,8 +45,9 @@ class TestSeq:
         assert code == 0
         assert out.strip().splitlines()[-1] == "8\t1142"
 
-    def test_bad_cap_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("TGK_MAX_N", "many")
+    @pytest.mark.parametrize("raw", ["many", "0", "-3"])
+    def test_bad_cap_value(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("TGK_MAX_N", raw)
         code, _, err = run(capsys, "seq", "--n", "9", "--method", "census")
         assert code == 2
         assert "TGK_MAX_N" in err
@@ -237,6 +238,12 @@ class TestTamari:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_verify_rejects_nonpositive_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("TGK_MAX_N", "0")
+        code, _, err = run(capsys, "tamari-verify", "--n", "3")
+        assert code == 2
+        assert err.strip() == "error: TGK_MAX_N must be a positive integer, got '0'"
+
 
 class TestEuler:
     def test_text(self, capsys):
@@ -343,6 +350,12 @@ class TestVerifyCommand:
         blob = json.loads(out)
         assert blob["ok"] is True
         assert len(blob["checks"]) >= 10
+
+    def test_rejects_nonpositive_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("TGK_MAX_N", "-3")
+        code, _, err = run(capsys, "verify", "--n", "3")
+        assert code == 2
+        assert err.strip() == "error: TGK_MAX_N must be a positive integer, got '-3'"
 
 
 class TestHarness:

@@ -10,6 +10,7 @@ from treegamekit.perm import (
     first_inversions,
     weak_leq,
 )
+from treegamekit.report import render_lines, results_json
 from treegamekit.tamari import (
     ENUMERATION_LIMIT,
     Fiber,
@@ -262,7 +263,9 @@ class TestCongruence:
         assert len(lines) == 3
         assert all(line.startswith("CHECK ") for line in lines)
         assert all(line.count("PASS") == 1 for line in lines)
+        assert lines == render_lines(report.checks)
         blob = report.to_json()
+        assert blob["checks"] == results_json(report.checks)
         assert blob["n"] == 4
         assert blob["ok"] is True
         assert {c["name"] for c in blob["checks"]} == {

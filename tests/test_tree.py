@@ -112,7 +112,7 @@ class TestTraversals:
 
     def test_index_round_trip(self):
         for t in plane_trees(6):
-            assert tree_of_index(index_tree(t)) == t
+            assert tree_of_index(index_tree(t).children) == t
 
     def test_index_ids_are_preorder(self):
         idx = index_tree(WORKED_SHAPE)
