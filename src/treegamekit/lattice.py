@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 
 from . import poly
 from .perm import separator_placements
+from .poly import MATERIALIZE_LIMIT
 from .tree import (
     PlaneTree,
     TreeIndex,
@@ -30,8 +31,6 @@ from .tree import (
     tree_of_index,
     vertex_count,
 )
-
-MATERIALIZE_LIMIT = 20
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -23,6 +23,8 @@ from typing import Iterable, Sequence
 
 from .tree import PlaneTree, vertex_count
 
+MATERIALIZE_LIMIT = 20
+
 
 class Poly:
     """An integer polynomial stored as an ascending coefficient tuple
@@ -146,10 +148,19 @@ def pruning_profiles(t: PlaneTree) -> list[tuple[int, int, bool]]:
     ``t`` (the root plus a parent-closed vertex set).  Rank counts the
     pruning's non-root vertices, covers counts the vertices just outside
     it whose parent lies inside, and ``mover_loses`` says the pruning,
-    played as its own game tree, is lost by the player to move."""
+    played as its own game tree, is lost by the player to move.
+
+    Refuses a tree, or subtree, with more than 2^(MATERIALIZE_LIMIT - 1)
+    prunings, the most that a materializable lattice (a star with
+    MATERIALIZE_LIMIT vertices) has."""
     opts = [[None, *pruning_profiles(c)] for c in t]
     if not opts:
         return [(0, 0, True)]
+    count = math.prod(len(o) for o in opts)
+    if count > 1 << (MATERIALIZE_LIMIT - 1):
+        raise ValueError(
+            f"a subtree has {count} prunings; profiles are listed only up to 2^{MATERIALIZE_LIMIT - 1}"
+        )
     out = []
     for combo in itertools.product(*opts):
         rank = 0

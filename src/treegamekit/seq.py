@@ -28,13 +28,15 @@ from .poly import Poly
 
 @lru_cache(maxsize=None)
 def _stirling_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = prev[k - 1] + (n - 1) * (prev[k] if k <= n - 1 else 0)
-    row[0] = 0
+    """Row n of c(n, k), built in place from row 0 by
+    c(m, k) = c(m-1, k-1) + (m-1) * c(m-1, k); only the asked-for row is
+    cached, so a large n neither recurses nor keeps every row below it."""
+    row = [1]
+    for m in range(1, n + 1):
+        row.append(0)
+        for k in range(m, 0, -1):
+            row[k] = row[k - 1] + (m - 1) * row[k]
+        row[0] = 0
     return tuple(row)
 
 

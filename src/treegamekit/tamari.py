@@ -8,7 +8,11 @@ weak-order interval whose top avoids 213 and whose bottom avoids 312.
 Join is the pointwise minimum of tables; meet takes, argument by
 argument, the smallest common member of the two forward orbits.
 ``verify_congruence`` checks the interval property and that both
-projections (fiber top and fiber bottom) preserve weak order.
+projections (fiber top and fiber bottom) preserve weak order.  Weak
+order is the transitive closure of its covers, so the projections are
+checked on covers only; its intervals are connected under covers, so
+each fiber is compared with an upward cover search from its bottom,
+bounded by its top.
 """
 
 from __future__ import annotations
@@ -158,58 +162,82 @@ def _inversion_mask(p: Perm, pair_index: dict[tuple[int, int], int]) -> int:
     return mask
 
 
+def _up_covers(p: Perm) -> list[Perm]:
+    """The weak-order up-covers of ``p`` among permutations fixing 1.
+
+    For each k in 2..n-1 standing left of k + 1, swap the two values.
+    The swap adds exactly the inversion of their two positions (every
+    other value compares alike with k and k + 1) and never moves the 1.
+    """
+    where = {v: i for i, v in enumerate(p)}
+    out = []
+    for k in range(2, len(p)):
+        i, j = where[k], where[k + 1]
+        if i < j:
+            q = list(p)
+            q[i], q[j] = k + 1, k
+            out.append(tuple(q))
+    return out
+
+
 def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceReport:
     """Exhaustively check, for size ``n``, that the fibers of the
     first-inversion tree map are weak-order intervals with pattern-
-    avoiding extremes and that both interval projections are monotone."""
+    avoiding extremes and that both interval projections are monotone,
+    walking weak-order covers as the module docstring describes."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > limit:
         raise ValueError(f"congruence check for n = {n} exceeds the limit {limit}")
 
     perms = list(enumerate_fixing_one(n))
+    index = {p: i for i, p in enumerate(perms)}
     pair_index = {pair: k for k, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
-    mask_of = {p: _inversion_mask(p, pair_index) for p in perms}
+    mask_of = [_inversion_mask(p, pair_index) for p in perms]
+    up = [[index[q] for q in _up_covers(p)] for p in perms]
 
-    fibers: dict[tuple[int, ...], list[Perm]] = {}
-    for p in perms:
-        fibers.setdefault(first_inversions(p), []).append(p)
+    fibers: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(perms):
+        fibers.setdefault(first_inversions(p), []).append(i)
 
     interval_bad: list[str] = []
-    top_of: dict[Perm, int] = {}
-    bottom_of: dict[Perm, int] = {}
+    top_of = [0] * len(perms)
+    bottom_of = [0] * len(perms)
     for fif, members in fibers.items():
         tree = tree_from_first_inversions(fif)
         top = perm_from_increasing_tree(eastpush_labeling(tree))
         bottom = perm_from_increasing_tree(westpop_labeling(tree))
-        if top not in members or bottom not in members:
+        member_set = set(members)
+        if index.get(top) not in member_set or index.get(bottom) not in member_set:
             interval_bad.append(f"extremes escape fiber {fif}")
             continue
-        tm, bm = mask_of[top], mask_of[bottom]
+        tm, bm = mask_of[index[top]], mask_of[index[bottom]]
         if not avoids(top, 213):
             interval_bad.append(f"top {top} contains 213")
         if not avoids(bottom, 312):
             interval_bad.append(f"bottom {bottom} contains 312")
-        member_set = set(members)
-        for p in perms:
-            inside = bm & ~mask_of[p] == 0 and mask_of[p] & ~tm == 0
-            if inside != (p in member_set):
-                interval_bad.append(f"fiber {fif} is not the interval [{bottom}, {top}] at {p}")
-                break
-        for p in members:
-            top_of[p] = tm
-            bottom_of[p] = bm
+        reached = {index[bottom]} if bm & ~tm == 0 else set()
+        stack = list(reached)
+        while stack:
+            for j in up[stack.pop()]:
+                if j not in reached and mask_of[j] & ~tm == 0:
+                    reached.add(j)
+                    stack.append(j)
+        if reached != member_set:
+            p = perms[min(reached ^ member_set)]
+            interval_bad.append(f"fiber {fif} is not the interval [{bottom}, {top}] at {p}")
+        for i in members:
+            top_of[i] = tm
+            bottom_of[i] = bm
 
     up_bad: list[str] = []
     down_bad: list[str] = []
-    for a in perms:
-        ma = mask_of[a]
-        for b in perms:
-            if ma & ~mask_of[b] == 0:  # a <= b in weak order
-                if top_of[a] & ~top_of[b] != 0:
-                    up_bad.append(f"upper projection reverses {a} <= {b}")
-                if bottom_of[a] & ~bottom_of[b] != 0:
-                    down_bad.append(f"lower projection reverses {a} <= {b}")
+    for i, covers in enumerate(up):
+        for j in covers:
+            if top_of[i] & ~top_of[j] != 0:
+                up_bad.append(f"upper projection reverses {perms[i]} <= {perms[j]}")
+            if bottom_of[i] & ~bottom_of[j] != 0:
+                down_bad.append(f"lower projection reverses {perms[i]} <= {perms[j]}")
 
     def result(name: str, bad: list[str]) -> CheckResult:
         if not bad:

@@ -32,6 +32,7 @@ from treegamekit.poly import (
 )
 from treegamekit.seq import census_by_stirling_sum, census_table
 from treegamekit.tamari import (
+    ENUMERATION_LIMIT,
     TamariElement,
     tamari_join,
     tamari_leq,
@@ -135,7 +136,7 @@ def test_acceptance_bijections():
 
 def test_acceptance_congruence_and_quotient():
     started = time.perf_counter()
-    for n in range(1, 8):
+    for n in range(1, ENUMERATION_LIMIT + 1):
         assert verify_congruence(n).ok, n
 
     # join and meet against the order rebuilt from the definition

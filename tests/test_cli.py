@@ -71,6 +71,13 @@ class TestStirling:
         assert code == 0
         assert out.strip() == "225"
 
+    def test_large_row_builds_without_recursion(self, capsys):
+        # c(n, n - 1) = C(n, 2); n is past the interpreter's default
+        # recursion limit, so the row must be built without recursing
+        code, out, _ = run(capsys, "stirling", "--n", "1200", "--k", "1199")
+        assert code == 0
+        assert out.strip() == "719400"
+
 
 class TestBijection:
     def test_gamma(self, capsys):
@@ -139,6 +146,20 @@ class TestPhi:
             capsys, "phi", "--tree", "((()) ((()())))", "--via", "prunings"
         )
         assert a == b
+
+    def test_routes_agree_on_largest_star(self, capsys):
+        star = "(" + "()" * 19 + ")"
+        code, a, _ = run(capsys, "phi", "--tree", star, "--via", "prunings")
+        assert code == 0
+        _, b, _ = run(capsys, "phi", "--tree", star)
+        assert a == b
+
+    def test_prunings_route_refuses_too_many_prunings(self, capsys):
+        star = "(" + "()" * 20 + ")"
+        code, out, err = run(capsys, "phi", "--tree", star, "--via", "prunings")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "1048576 prunings" in err
 
     def test_eval_fraction(self, capsys):
         code, out, _ = run(

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treegamekit import lattice
 from treegamekit.game import mover_loses
 from treegamekit.lattice import PruningLattice
 from treegamekit.poly import (
+    MATERIALIZE_LIMIT,
     ONE,
     Q,
     ZERO,
@@ -202,6 +204,16 @@ class TestPruningProfiles:
                     for m in lat
                 )
                 assert Counter(pruning_profiles(t)) == expected
+
+    def test_size_cap(self):
+        # a star with MATERIALIZE_LIMIT - 1 leaves has the most prunings
+        # a materializable lattice has (tests/test_cli.py lists them);
+        # one leaf more is refused, as a whole tree or as a subtree
+        with pytest.raises(ValueError, match="prunings"):
+            pruning_profiles(((),) * MATERIALIZE_LIMIT)
+        with pytest.raises(ValueError, match="prunings"):
+            pruning_profiles((((),) * MATERIALIZE_LIMIT,))
+        assert lattice.MATERIALIZE_LIMIT == MATERIALIZE_LIMIT
 
     def test_sum_route_matches_product_route(self):
         for n in range(1, 9):

@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 
+from treegamekit import tamari
 from treegamekit.perm import (
     avoids,
     enumerate_fixing_one,
     first_inversions,
+    inversions,
     weak_leq,
 )
 from treegamekit.report import render_lines, results_json
@@ -15,6 +17,8 @@ from treegamekit.tamari import (
     ENUMERATION_LIMIT,
     Fiber,
     TamariElement,
+    _inversion_mask,
+    _up_covers,
     fiber,
     tamari_join,
     tamari_leq,
@@ -27,6 +31,7 @@ from treegamekit.tree import (
     parse_plane_tree,
     plane_shape,
     plane_trees,
+    tree_from_first_inversions,
 )
 
 WORKED_SHAPE = parse_plane_tree("((()) () (()()))")
@@ -71,6 +76,65 @@ def oracle_bound(classes, leq, x, y, upper):
         best = [z for z in candidates if all(leq[w][z] for w in candidates)]
     assert len(best) == 1
     return classes[best[0]]
+
+
+def _verify_congruence_pairwise(n):
+    """The congruence check by brute force over all pairs: every fiber
+    against every permutation, and both projections on every comparable
+    pair.  Labelings are looked up on ``tamari`` at call time, so a fault
+    patched in there reaches this oracle as well."""
+    perms = list(enumerate_fixing_one(n))
+    pair_index = {pair: k for k, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    mask_of = {p: _inversion_mask(p, pair_index) for p in perms}
+
+    fibers = {}
+    for p in perms:
+        fibers.setdefault(first_inversions(p), []).append(p)
+
+    interval_bad = []
+    top_of = {}
+    bottom_of = {}
+    for fif, members in fibers.items():
+        tree = tree_from_first_inversions(fif)
+        top = tamari.perm_from_increasing_tree(tamari.eastpush_labeling(tree))
+        bottom = tamari.perm_from_increasing_tree(tamari.westpop_labeling(tree))
+        if top not in members or bottom not in members:
+            interval_bad.append(f"extremes escape fiber {fif}")
+            continue
+        tm, bm = mask_of[top], mask_of[bottom]
+        if not avoids(top, 213):
+            interval_bad.append(f"top {top} contains 213")
+        if not avoids(bottom, 312):
+            interval_bad.append(f"bottom {bottom} contains 312")
+        member_set = set(members)
+        for p in perms:
+            inside = bm & ~mask_of[p] == 0 and mask_of[p] & ~tm == 0
+            if inside != (p in member_set):
+                interval_bad.append(f"fiber {fif} is not the interval [{bottom}, {top}] at {p}")
+                break
+        for p in members:
+            top_of[p] = tm
+            bottom_of[p] = bm
+
+    up_bad = []
+    down_bad = []
+    for a in perms:
+        ma = mask_of[a]
+        for b in perms:
+            if ma & ~mask_of[b] == 0:  # a <= b in weak order
+                if top_of[a] & ~top_of[b] != 0:
+                    up_bad.append(f"upper projection reverses {a} <= {b}")
+                if bottom_of[a] & ~bottom_of[b] != 0:
+                    down_bad.append(f"lower projection reverses {a} <= {b}")
+    return {
+        "fiber-interval": not interval_bad,
+        "upper-projection-monotone": not up_bad,
+        "lower-projection-monotone": not down_bad,
+    }
+
+
+def _passed(report):
+    return {c.name: c.passed for c in report.checks}
 
 
 class TestElements:
@@ -273,6 +337,46 @@ class TestCongruence:
             "upper-projection-monotone",
             "lower-projection-monotone",
         }
+
+    def test_matches_pairwise_oracle(self):
+        for n in range(1, 7):
+            assert _passed(verify_congruence(n)) == _verify_congruence_pairwise(n), n
+
+    def test_matches_pairwise_oracle_on_swapped_labelings(self, monkeypatch):
+        east, west = tamari.eastpush_labeling, tamari.westpop_labeling
+        monkeypatch.setattr(tamari, "eastpush_labeling", west)
+        monkeypatch.setattr(tamari, "westpop_labeling", east)
+        for n in range(1, 7):
+            report = verify_congruence(n)
+            oracle = _verify_congruence_pairwise(n)
+            assert _passed(report) == oracle, n
+            # from n = 4 on some fiber holds more than one permutation
+            assert oracle["fiber-interval"] is (n < 4), n
+        detail = report.checks[0].details
+        assert "is not the interval" in detail and " at (1, " in detail
+
+    def test_up_covers_add_one_inversion(self):
+        for n in range(1, 7):
+            perms = list(enumerate_fixing_one(n))
+            inv = {p: inversions(p) for p in perms}
+            for p in perms:
+                one_more = {q for q in perms if inv[p] < inv[q] and len(inv[q]) == len(inv[p]) + 1}
+                covers = _up_covers(p)
+                assert len(covers) == len(set(covers))
+                assert set(covers) == one_more, p
+
+    def test_cover_closure_is_weak_order(self):
+        for n in range(1, 7):
+            perms = list(enumerate_fixing_one(n))
+            for p in perms:
+                reached = {p}
+                stack = [p]
+                while stack:
+                    for q in _up_covers(stack.pop()):
+                        if q not in reached:
+                            reached.add(q)
+                            stack.append(q)
+                assert reached == {q for q in perms if weak_leq(p, q)}, p
 
     def test_limit_guard(self):
         with pytest.raises(ValueError):
