@@ -152,15 +152,21 @@ def pruning_profiles(t: PlaneTree) -> list[tuple[int, int, bool]]:
 
     Refuses a tree, or subtree, with more than 2^(MATERIALIZE_LIMIT - 1)
     prunings, the most that a materializable lattice (a star with
-    MATERIALIZE_LIMIT vertices) has."""
-    opts = [[None, *pruning_profiles(c)] for c in t]
+    MATERIALIZE_LIMIT vertices) has.  The running product of the
+    children's option counts is checked before the next child is listed,
+    so a refused tree never has more than about twice that many profiles
+    listed at once."""
+    opts = []
+    count = 1
+    for c in t:
+        opts.append([None, *pruning_profiles(c)])
+        count *= len(opts[-1])
+        if count > 1 << (MATERIALIZE_LIMIT - 1):
+            raise ValueError(
+                f"a subtree has at least {count} prunings; profiles are listed only up to 2^{MATERIALIZE_LIMIT - 1}"
+            )
     if not opts:
         return [(0, 0, True)]
-    count = math.prod(len(o) for o in opts)
-    if count > 1 << (MATERIALIZE_LIMIT - 1):
-        raise ValueError(
-            f"a subtree has {count} prunings; profiles are listed only up to 2^{MATERIALIZE_LIMIT - 1}"
-        )
     out = []
     for combo in itertools.product(*opts):
         rank = 0

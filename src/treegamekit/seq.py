@@ -26,18 +26,30 @@ from . import game
 from .poly import Poly
 
 
+# the highest Stirling row built so far, as (n, row)
+_top_row: tuple[int, tuple[int, ...]] = (0, (1,))
+
+
 @lru_cache(maxsize=None)
 def _stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of c(n, k), built in place from row 0 by
-    c(m, k) = c(m-1, k-1) + (m-1) * c(m-1, k); only the asked-for row is
-    cached, so a large n neither recurses nor keeps every row below it."""
-    row = [1]
-    for m in range(1, n + 1):
-        row.append(0)
-        for k in range(m, 0, -1):
-            row[k] = row[k - 1] + (m - 1) * row[k]
-        row[0] = 0
-    return tuple(row)
+    """Row n of c(n, k), built by c(m, k) = c(m-1, k-1) + (m-1) * c(m-1, k)
+    upward from the highest row built so far, or from row 0 when n lies
+    below it.  No call recurses, callers asking rows in ascending order
+    pay one step per entry, and only the rows asked for stay cached."""
+    global _top_row
+    m, row = _top_row
+    if m > n:
+        m, row = 0, (1,)
+    while m < n:
+        m += 1
+        prev = row
+        row = [0] * (m + 1)
+        for k in range(1, m + 1):
+            row[k] = prev[k - 1] + (m - 1) * (prev[k] if k < m else 0)
+        row = tuple(row)
+    if n > _top_row[0]:
+        _top_row = (n, row)
+    return row
 
 
 def stirling_first(n: int, k: int) -> int:

@@ -28,6 +28,15 @@ class TestSeq:
         assert lines[0] == "1\t1"
         assert lines[-1] == "6\t26"
 
+    def test_long_stirling_run(self, capsys):
+        # rows are asked for in ascending order, each built from the one
+        # below it; n = 300 stays well under a second that way
+        code, out, _ = run(capsys, "seq", "--n", "300")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 300
+        assert lines[:8] == [f"{i}\t{v}" for i, v in enumerate([1, 0, 1, 1, 8, 26, 194, 1142], 1)]
+
     def test_all_methods_agree(self, capsys):
         code, out, _ = run(capsys, "seq", "--n", "6", "--all-methods")
         assert code == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegamekit import lattice
+from treegamekit import lattice, poly
 from treegamekit.game import mover_loses
 from treegamekit.lattice import PruningLattice
 from treegamekit.poly import (
@@ -214,6 +214,29 @@ class TestPruningProfiles:
         with pytest.raises(ValueError, match="prunings"):
             pruning_profiles((((),) * MATERIALIZE_LIMIT,))
         assert lattice.MATERIALIZE_LIMIT == MATERIALIZE_LIMIT
+
+    def test_size_cap_across_children(self):
+        # each child alone passes the cap; the root over them does not,
+        # and is refused once the first child is listed
+        big = ((),) * (MATERIALIZE_LIMIT - 1)
+        with pytest.raises(ValueError, match="prunings"):
+            pruning_profiles((big, big))
+
+    def test_size_cap_stops_listing_children(self, monkeypatch):
+        # a root with 100 two-vertex paths has 3^100 prunings; 3^12 is the
+        # first power past 2^19, so only 12 children are listed
+        listed = []
+        original = poly.pruning_profiles
+
+        def counting(t):
+            if t == ((),):
+                listed.append(t)
+            return original(t)
+
+        monkeypatch.setattr(poly, "pruning_profiles", counting)
+        with pytest.raises(ValueError, match="at least 531441 prunings"):
+            original((((),),) * 100)
+        assert len(listed) == 12
 
     def test_sum_route_matches_product_route(self):
         for n in range(1, 9):

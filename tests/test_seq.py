@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treegamekit import seq
 from treegamekit.poly import Poly
 from treegamekit.seq import (
     METHODS,
@@ -68,6 +69,26 @@ class TestStirling:
             assert sum(stirling_first(n, k) for k in range(n + 1)) == (
                 math.factorial(n)
             )
+
+    def test_rows_do_not_depend_on_call_order(self):
+        # the uncached builder starts from the highest row built so far,
+        # or from row 0 below it; any order of requests gives the same rows
+        build = seq._stirling_row.__wrapped__
+        expected = [build(n) for n in range(12)]
+        assert [sum(row) for row in expected] == [math.factorial(n) for n in range(12)]
+        for order in (range(11, -1, -1), [5, 2, 9, 0, 11, 7, 1, 10, 3, 8, 4, 6]):
+            for n in order:
+                assert build(n) == expected[n]
+
+    def test_ascending_rows_build_one_step(self, monkeypatch):
+        # a row above the highest one built is built from that row, not
+        # from row 0: planting a wrong row 3 shows in row 4, and a row at
+        # or below the planted one is rebuilt from row 0
+        build = seq._stirling_row.__wrapped__
+        monkeypatch.setattr(seq, "_top_row", (3, (0, 0, 0, 1)))
+        assert build(4) == (0, 0, 0, 3, 1)
+        assert seq._top_row == (4, (0, 0, 0, 3, 1))
+        assert build(2) == (0, 1, 1)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
