@@ -3,18 +3,18 @@
 A shared token starts at the root and players alternately slide it to a
 child of its current vertex; whoever cannot move (the token sits on a
 leaf) loses.  The mover wins exactly when some root subtree is a loss
-for its own mover, so a plain win-loss recursion settles every position.
-The value of the game polynomial at -1 (see ``poly``) reads off the same
-winner, and the census over all increasing trees on n vertices recovers
-the sequence in ``seq``.
+for its own mover, so a win-loss fold from the leaves up (the walker in
+``tree``, at any depth) settles every position; a tree's move is memoized
+by object identity, never by comparing trees.  The value of the game
+polynomial at -1 (see ``poly``) reads off the same winner, and the census
+over all increasing trees on n vertices recovers the sequence in ``seq``.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
-from .tree import PlaneTree, parent_vectors
+from .tree import PlaneTree, _fold, parent_vectors
 
 # Census cap unless a caller raises it: n = 10 already sweeps 9! trees.
 CENSUS_LIMIT = 10
@@ -25,10 +25,28 @@ class Winner(enum.Enum):
     SECOND = "player2"
 
 
-@lru_cache(maxsize=None)
+_moves: dict[int, tuple[PlaneTree, int | None]] = {}  # id(t) -> (t, optimal move)
+
+
+def _loses(node: PlaneTree, child_loses: list[bool]) -> bool:
+    return not any(child_loses)
+
+
+def optimal_move(t: PlaneTree) -> int | None:
+    """The least 1-based root-child index whose subtree the opponent
+    then loses, or None when the mover has no winning move."""
+    hit = _moves.get(id(t))
+    if hit is None:
+        if len(_moves) >= 256:  # keep a long-lived process bounded
+            _moves.clear()
+        move = next((k for k, child in enumerate(t, start=1) if _fold(child, iter, _loses)), None)
+        hit = _moves[id(t)] = (t, move)  # holding t keeps its id unique
+    return hit[1]
+
+
 def mover_loses(t: PlaneTree) -> bool:
     """True when the player to move loses ``t`` under optimal play."""
-    return not any(mover_loses(c) for c in t)
+    return optimal_move(t) is None
 
 
 def winner(t: PlaneTree) -> Winner:
@@ -39,17 +57,6 @@ def winner(t: PlaneTree) -> Winner:
     'player1'
     """
     return Winner.SECOND if mover_loses(t) else Winner.FIRST
-
-
-def optimal_move(t: PlaneTree) -> int | None:
-    """The least 1-based root-child index whose subtree the opponent
-    then loses, or None when the mover has no winning move."""
-    if mover_loses(t):
-        return None
-    for k, child in enumerate(t, start=1):
-        if mover_loses(child):
-            return k
-    raise AssertionError("winning position must have a losing child")
 
 
 def census_second_player_wins(n: int, limit: int = CENSUS_LIMIT) -> int:

@@ -40,18 +40,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _subtree_masks(idx: TreeIndex, v: int) -> list[int]:
-    base = 1 << v
-    opts = [[0, *_subtree_masks(idx, c)] for c in idx.children[v]]
-    if not opts:
-        return [base]
-    out = []
-    for combo in itertools.product(*opts):
-        m = base
-        for x in combo:
-            m |= x
-        out.append(m)
-    return out
+def _subtree_masks(idx: TreeIndex) -> list[int]:
+    """Every pruning's mask, built over descending preorder ids: a vertex's
+    bit joined with one choice per child, nothing or one of the child's."""
+    below: dict[int, list[int]] = {}
+    for v in range(len(idx) - 1, -1, -1):
+        options = [(0, *below.pop(c)) for c in idx.children[v]]
+        below[v] = [(1 << v) | sum(combo) for combo in itertools.product(*options)]
+    return below[0]
 
 
 class PruningLattice:
@@ -68,7 +64,7 @@ class PruningLattice:
         self.base = base
         self.index = index_tree(base)
         self.size = size
-        self.masks = sorted(_subtree_masks(self.index, 0), key=lambda m: (m.bit_count(), m))
+        self.masks = sorted(_subtree_masks(self.index), key=lambda m: (m.bit_count(), m))
         self._members = frozenset(self.masks)
         childmask = [0] * size
         for v, par in enumerate(self.index.parent):

@@ -94,15 +94,14 @@ def first_inversions(p: Sequence[int]) -> tuple[int, ...]:
     """
     p = check_fixes_one(p)
     n = len(p)
-    out = []
-    for i in range(2, n + 1):
-        ti = n + 1
-        for j in range(i + 1, n + 1):
-            if p[j - 1] < p[i - 1]:
-                ti = j
-                break
-        out.append(ti)
-    out.append(n + 1)
+    out = [n + 1] * n
+    later: list[int] = []  # positions right of i, values rising up the stack
+    for i in range(n, 1, -1):
+        while later and p[later[-1] - 1] > p[i - 1]:
+            later.pop()
+        if later:
+            out[i - 2] = later[-1]
+        later.append(i)
     return tuple(out)
 
 
@@ -120,11 +119,19 @@ def check_first_inversions(t: Sequence[int]) -> tuple[int, ...]:
         ti = t[i - 2]
         if not i < ti <= n + 1:
             raise ValueError(f"t({i}) = {ti} is outside {i + 1}..{n + 1}")
-    # non-crossing: an argument strictly inside (i, t(i)) cannot map past t(i)
-    for i in range(2, n + 1):
-        for j in range(i + 1, min(t[i - 2], n + 1)):
-            if t[j - 2] > t[i - 2]:
-                raise ValueError(f"crossing pair: t({i}) = {t[i - 2]} but t({j}) = {t[j - 2]}")
+    # non-crossing: no argument strictly inside (i, t(i)) maps past t(i).  Each
+    # i's first suspect is the next larger entry; report the least i, as a scan would.
+    crossing = None
+    larger: list[int] = []  # arguments right of i, entries falling up the stack
+    for i in range(n, 1, -1):
+        while larger and t[larger[-1] - 2] <= t[i - 2]:
+            larger.pop()
+        if larger and larger[-1] < t[i - 2]:
+            crossing = i, larger[-1]
+        larger.append(i)
+    if crossing:
+        i, j = crossing
+        raise ValueError(f"crossing pair: t({i}) = {t[i - 2]} but t({j}) = {t[j - 2]}")
     return t
 
 

@@ -5,8 +5,12 @@ product of the factors (1 + q * poly(T_k)); the single vertex gives 1.
 Two further computations of the same polynomial live here: a signed sum
 over prunings (one term (-q)^rank * (1+q)^covers per pruning whose game
 is lost by the player to move) and a Monte-Carlo estimate of the value
-at q in [-1, 0] via the recursive coin-flip event ``event_frequency``
-samples.  Agreement of all three is what the test suite leans on.
+at q in [-1, 0] via the coin-flip event ``event_frequency`` samples.
+Agreement of all three is what the test suite leans on.
+
+Nothing here recurses: the product and the pruning profiles are folded
+by the walker in ``tree``, and the event scans the preorder numbering,
+flipping coins in the order a depth-first walk would.
 
 Text form is ascending with explicit carets, e.g. ``1 + 2*q + 3*q^2``;
 JSON form is the ascending coefficient list.
@@ -19,9 +23,9 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .tree import PlaneTree, vertex_count
+from .tree import PlaneTree, _fold, index_tree, vertex_count
 
 MATERIALIZE_LIMIT = 20
 
@@ -74,6 +78,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
+        if a == (1,):
+            return other
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -132,14 +138,45 @@ Q = Poly((0, 1))
 
 
 def game_polynomial(t: PlaneTree) -> Poly:
-    """Product recursion over root subtrees.
+    """Product over root subtrees, folded bottom up; each factor 1 + q*phi
+    is phi's coefficients shifted up one place after a constant 1.
 
     >>> str(game_polynomial(((), ())))
     '1 + 2*q + q^2'
     """
-    out = ONE
-    for c in t:
-        out = out * (ONE + Q * game_polynomial(c))
+    return _fold(t, iter, lambda node, phis: math.prod((Poly((1, *phi.coeffs)) for phi in phis), start=ONE))
+
+
+def _pruning_count(node: PlaneTree, counts: list) -> int | ValueError:
+    """A subtree's pruning count, or the first refusal a listing would meet."""
+    count = 1
+    for c in counts:
+        if isinstance(c, ValueError):
+            return c
+        count *= 1 + c
+        if count > 1 << (MATERIALIZE_LIMIT - 1):
+            return ValueError(
+                f"a subtree has at least {count} prunings; profiles are listed only up to 2^{MATERIALIZE_LIMIT - 1}"
+            )
+    return count
+
+
+def _profiles(node: PlaneTree, child_profiles: list[list[tuple[int, int, bool]]]) -> list[tuple[int, int, bool]]:
+    if not child_profiles:
+        return [(0, 0, True)]
+    # a child left out adds a cover; a child's pruning adds its vertices and covers
+    options = [((0, 1, False), *((r + 1, c, lost) for r, c, lost in ps)) for ps in child_profiles]
+    child_profiles.clear()  # the walker would hold them through the product
+    out = []
+    for combo in itertools.product(*options):
+        rank = covers = 0
+        loses = True
+        for r, c, child_loses in combo:
+            rank += r
+            covers += c
+            if child_loses:
+                loses = False
+        out.append((rank, covers, loses))
     return out
 
 
@@ -152,37 +189,12 @@ def pruning_profiles(t: PlaneTree) -> list[tuple[int, int, bool]]:
 
     Refuses a tree, or subtree, with more than 2^(MATERIALIZE_LIMIT - 1)
     prunings, the most that a materializable lattice (a star with
-    MATERIALIZE_LIMIT vertices) has.  The running product of the
-    children's option counts is checked before the next child is listed,
-    so a refused tree never has more than about twice that many profiles
-    listed at once."""
-    opts = []
-    count = 1
-    for c in t:
-        opts.append([None, *pruning_profiles(c)])
-        count *= len(opts[-1])
-        if count > 1 << (MATERIALIZE_LIMIT - 1):
-            raise ValueError(
-                f"a subtree has at least {count} prunings; profiles are listed only up to 2^{MATERIALIZE_LIMIT - 1}"
-            )
-    if not opts:
-        return [(0, 0, True)]
-    out = []
-    for combo in itertools.product(*opts):
-        rank = 0
-        covers = 0
-        loses = True
-        for item in combo:
-            if item is None:
-                covers += 1
-            else:
-                r, c, child_loses = item
-                rank += r + 1
-                covers += c
-                if child_loses:
-                    loses = False
-        out.append((rank, covers, loses))
-    return out
+    MATERIALIZE_LIMIT vertices) has, by a counting pass that checks each
+    running product after every child, before anything is listed."""
+    count = _fold(t, iter, _pruning_count)
+    if isinstance(count, ValueError):
+        raise count
+    return _fold(t, iter, _profiles)
 
 
 def game_polynomial_from_prunings(t: PlaneTree) -> Poly:
@@ -201,8 +213,8 @@ def game_polynomial_from_prunings(t: PlaneTree) -> Poly:
 
 
 def event_frequency(t: PlaneTree, q, trials: int = 100_000, seed: int = 0) -> float:
-    """Empirical frequency of the recursive coin-flip event whose
-    probability is the game polynomial at ``q``.
+    """Empirical frequency of the coin-flip event whose probability is
+    the game polynomial at ``q``.
 
     Starting at the root, one coin is flipped per child of each visited
     vertex (heads with probability -q, so q must lie in [-1, 0]); heads
@@ -215,19 +227,25 @@ def event_frequency(t: PlaneTree, q, trials: int = 100_000, seed: int = 0) -> fl
         raise ValueError(f"q must lie in [-1, 0], got {q}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    rng = random.Random(seed)
-    rand = rng.random
-
-    def occurs(node: PlaneTree) -> bool:
-        ok = True
-        for child in node:
-            if rand() < heads:
-                if occurs(child):
-                    ok = False
-        return ok
-
+    rand = random.Random(seed).random
+    idx = index_tree(t)
+    n, parent = len(idx), idx.parent
+    size = [1] * n
+    for v in range(n - 1, 0, -1):
+        size[parent[v]] += size[v]
     hits = 0
     for _ in range(trials):
-        if occurs(t):
-            hits += 1
+        visited = []  # coins in preorder; tails skips the whole subtree
+        v = 1
+        while v < n:
+            if rand() < heads:
+                visited.append(v)
+                v += 1
+            else:
+                v += size[v]
+        spoiled = set()  # parents of visited vertices whose event holds
+        for u in reversed(visited):
+            if u not in spoiled:
+                spoiled.add(parent[u])
+        hits += 0 not in spoiled
     return hits / trials

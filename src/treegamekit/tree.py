@@ -16,6 +16,11 @@ inversion, or the root when there is none.  Reading the label-ordered
 shape in postorder inverts this, and the two stack labelings
 (``eastpush_labeling`` and ``westpop_labeling``) pick out the preimages
 that avoid 213 and 312 respectively.
+
+Nothing here recurses, so trees may be as deep as memory allows: nested
+tuples are folded bottom up by ``_fold``, an explicit-stack traversal
+(Knuth, TAOCP Vol. 1, Section 2.3.1, Algorithm T), or numbered in
+preorder by ``_index``; children tables are built by one loop over ids.
 """
 
 from __future__ import annotations
@@ -23,14 +28,47 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .perm import check_first_inversions, check_fixes_one, first_inversions
 
 PlaneTree = tuple
 LabeledTree = tuple
+
+_label = itemgetter(0)
+_skip_ws = re.compile(r"\s*").match  # r"\s" matches exactly what str.isspace() accepts
+
+
+# ---------------------------------------------------------------------------
+# the walker
+
+
+def _fold(root, children: Callable[[object], Iterator], combine: Callable[[object, list], object]):
+    """Fold a tree bottom up with an explicit stack; return the root's value.
+
+    ``children(node)`` returns an iterator over the node's children; it is
+    called once per node, in preorder, and a child's subtree is folded
+    before the next child is taken.  ``combine(node, values)`` gets the
+    children's values in order and returns the node's; it is called in
+    postorder.
+    """
+    stack = []
+    node, kids, values = root, children(root), []
+    while True:
+        for child in kids:
+            stack.append((node, kids, values))
+            node, kids, values = child, children(child), []
+            break
+        else:
+            value = combine(node, values)
+            if not stack:
+                return value
+            node, kids, values = stack.pop()
+            values.append(value)
 
 
 # ---------------------------------------------------------------------------
@@ -43,35 +81,24 @@ def parse_plane_tree(text: str) -> PlaneTree:
     >>> parse_plane_tree("(()(()))")
     ((), ((),))
     """
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def node() -> PlaneTree:
-        nonlocal pos
-        if pos >= n or text[pos] != "(":
+    open_lists: list[list] = [[]]  # one per open vertex, below one that takes the root
+    for pos, ch in enumerate(text):
+        if ch.isspace():
+            continue
+        if open_lists[0]:
+            raise ValueError(f"trailing input at position {pos} in plane-tree text")
+        if ch == "(":
+            open_lists.append([])
+        elif ch == ")" and len(open_lists) > 1:
+            done = tuple(open_lists.pop())
+            open_lists[-1].append(done)
+        else:
             raise ValueError(f"expected '(' at position {pos} in plane-tree text")
-        pos += 1
-        kids = []
-        while True:
-            skip_ws()
-            if pos >= n:
-                raise ValueError(f"unbalanced '(': input ended at position {pos}")
-            if text[pos] == ")":
-                pos += 1
-                return tuple(kids)
-            kids.append(node())
-
-    skip_ws()
-    tree = node()
-    skip_ws()
-    if pos != n:
-        raise ValueError(f"trailing input at position {pos} in plane-tree text")
-    return tree
+    if len(open_lists) > 1:
+        raise ValueError(f"unbalanced '(': input ended at position {len(text)}")
+    if not open_lists[0]:
+        raise ValueError(f"expected '(' at position {len(text)} in plane-tree text")
+    return open_lists[0][0]
 
 
 def format_plane_tree(t: PlaneTree) -> str:
@@ -80,51 +107,42 @@ def format_plane_tree(t: PlaneTree) -> str:
     >>> format_plane_tree(((), ((),)))
     '(() (()))'
     """
-    return "(" + " ".join(format_plane_tree(c) for c in t) + ")"
+    parts: list[str] = []
+    _fold(t, lambda node: parts.append("(") or iter(node), lambda node, _: parts.append(")"))
+    return "".join(parts).replace(")(", ") (")
 
 
 def parse_labeled_tree(text: str) -> LabeledTree:
-    pos = 0
     n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def label() -> int:
-        nonlocal pos
+    pos = _skip_ws(text, 0).end()
+    open_nodes: list[tuple[int, list]] = []  # (label, children so far) per open list
+    while True:
+        if pos >= n and open_nodes:
+            raise ValueError(f"unbalanced '(': input ended at position {pos}")
         start = pos
         while pos < n and text[pos].isdigit():
             pos += 1
         if pos == start:
             raise ValueError(f"expected a label at position {start} in labelled-tree text")
-        return int(text[start:pos])
-
-    def node() -> LabeledTree:
-        nonlocal pos
-        lbl = label()
-        kids = []
+        node = (int(text[start:pos]), ())
         if pos < n and text[pos] == "(":
+            open_nodes.append((node[0], []))
+            pos = _skip_ws(text, pos + 1).end()
+            if pos < n and text[pos] == ")":
+                raise ValueError(f"empty child list at position {pos}; leaves omit parentheses")
+            continue
+        while True:  # the node is complete: close every list that ends here
+            pos = _skip_ws(text, pos).end()
+            if not open_nodes:
+                if pos != n:
+                    raise ValueError(f"trailing input at position {pos} in labelled-tree text")
+                return node
+            open_nodes[-1][1].append(node)
+            if pos >= n or text[pos] != ")":
+                break
+            lbl, kids = open_nodes.pop()
+            node = (lbl, tuple(kids))
             pos += 1
-            while True:
-                skip_ws()
-                if pos >= n:
-                    raise ValueError(f"unbalanced '(': input ended at position {pos}")
-                if text[pos] == ")":
-                    if not kids:
-                        raise ValueError(f"empty child list at position {pos}; leaves omit parentheses")
-                    pos += 1
-                    break
-                kids.append(node())
-        return (lbl, tuple(kids))
-
-    skip_ws()
-    tree = node()
-    skip_ws()
-    if pos != n:
-        raise ValueError(f"trailing input at position {pos} in labelled-tree text")
-    return tree
 
 
 def format_labeled_tree(lt: LabeledTree) -> str:
@@ -132,10 +150,14 @@ def format_labeled_tree(lt: LabeledTree) -> str:
     >>> format_labeled_tree((1, ((2, ((6, ()),)), (3, ()), (4, ((5, ()), (7, ()))))))
     '1(2(6) 3 4(5 7))'
     """
-    lbl, kids = lt
-    if not kids:
-        return str(lbl)
-    return f"{lbl}(" + " ".join(format_labeled_tree(c) for c in kids) + ")"
+    parts: list[str] = []  # a space before every label; the replace drops those after '('
+
+    def enter(node: LabeledTree) -> Iterator[LabeledTree]:
+        parts.append(f" {node[0]}(" if node[1] else f" {node[0]}")
+        return iter(node[1])
+
+    _fold(lt, enter, lambda node, _: node[1] and parts.append(")"))
+    return "".join(parts).replace("( ", "(")[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -143,33 +165,10 @@ def format_labeled_tree(lt: LabeledTree) -> str:
 
 
 def vertex_count(t: PlaneTree) -> int:
-    return 1 + sum(vertex_count(c) for c in t)
-
-
-def postorder(t: PlaneTree) -> list[PlaneTree]:
-    """Subtrees in postorder (children left to right, then the vertex)."""
-    out: list[PlaneTree] = []
-
-    def visit(node: PlaneTree) -> None:
-        for c in node:
-            visit(c)
-        out.append(node)
-
-    visit(t)
-    return out
-
-
-def postorder_labels(lt: LabeledTree) -> list[int]:
-    out: list[int] = []
-
-    def visit(node: LabeledTree) -> None:
-        lbl, kids = node
-        for c in kids:
-            visit(c)
-        out.append(lbl)
-
-    visit(lt)
-    return out
+    subtrees = [t]
+    for node in subtrees:
+        subtrees.extend(node)
+    return len(subtrees)
 
 
 @dataclass(frozen=True)
@@ -183,63 +182,48 @@ class TreeIndex:
         return len(self.parent)
 
 
-def index_tree(t: PlaneTree) -> TreeIndex:
+def _index(root, children: Callable) -> tuple[TreeIndex, list]:
+    """Preorder ids for a tree whose ``children(node)`` is a sequence:
+    the index and the nodes by id."""
+    nodes: list = []
     parent: list[int] = []
-    children: list[list[int]] = []
-
-    def visit(node: PlaneTree, par: int) -> None:
-        v = len(parent)
+    stack = [(root, -1)]
+    while stack:
+        node, par = stack.pop()
+        v = len(nodes)
+        nodes.append(node)
         parent.append(par)
-        children.append([])
-        if par >= 0:
-            children[par].append(v)
-        for c in node:
-            visit(c, v)
+        kids = children(node)
+        if kids:
+            stack.extend(zip(reversed(kids), [v] * len(kids)))
+    return TreeIndex(tuple(parent), tuple(map(tuple, _children_table(parent[1:])))), nodes
 
-    visit(t, -1)
-    return TreeIndex(tuple(parent), tuple(tuple(k) for k in children))
+
+def index_tree(t: PlaneTree) -> TreeIndex:
+    return _index(t, tuple)[0]
 
 
 def index_labeled_tree(lt: LabeledTree) -> tuple[TreeIndex, tuple[int, ...]]:
-    parent: list[int] = []
-    children: list[list[int]] = []
-    labels: list[int] = []
-
-    def visit(node: LabeledTree, par: int) -> None:
-        lbl, kids = node
-        v = len(parent)
-        parent.append(par)
-        children.append([])
-        labels.append(lbl)
-        if par >= 0:
-            children[par].append(v)
-        for c in kids:
-            visit(c, v)
-
-    visit(lt, -1)
-    return TreeIndex(tuple(parent), tuple(tuple(k) for k in children)), tuple(labels)
+    idx, nodes = _index(lt, itemgetter(1))
+    return idx, tuple(node[0] for node in nodes)
 
 
-def postorder_ids(idx: TreeIndex) -> list[int]:
-    out: list[int] = []
-
-    def visit(v: int) -> None:
-        for c in idx.children[v]:
-            visit(c)
-        out.append(v)
-
-    visit(0)
-    return out
+def _nest(children: Sequence[Sequence[int]], labels: Sequence[int] | None = None, root: int = 0):
+    """Nested tuples below ``root`` of a children table whose child ids all
+    exceed their parent's, built in one pass over descending ids; labelled
+    when ``labels`` is given."""
+    built: list = [None] * len(children)
+    for v in range(len(children) - 1, root - 1, -1):
+        kids = tuple([built[c] for c in children[v]])
+        built[v] = kids if labels is None else (labels[v], kids)
+    return built[root]
 
 
 def tree_of_index(children: Sequence[Sequence[int]], v: int = 0) -> PlaneTree:
     """The plane tree below ``v`` of a children table, where ``children[u]``
-    lists u's children in order (``TreeIndex.children`` is one)."""
-    return tuple(tree_of_index(children, c) for c in children[v])
-
-
-def _labeled_from_index(children: Sequence[Sequence[int]], labels: Sequence[int], v: int = 0) -> LabeledTree:
-    return (labels[v], tuple(_labeled_from_index(children, labels, c) for c in children[v]))
+    lists u's children in order and every child id exceeds its parent's
+    (``TreeIndex.children`` is one)."""
+    return _nest(children, None, v)
 
 
 def _children_table(parents: Sequence[int]) -> list[list[int]]:
@@ -249,39 +233,6 @@ def _children_table(parents: Sequence[int]) -> list[list[int]]:
     for v, par in enumerate(parents, start=1):
         kids[par].append(v)
     return kids
-
-
-def _root_chain(idx: TreeIndex, v: int) -> list[int]:
-    chain = [v]
-    while idx.parent[chain[-1]] >= 0:
-        chain.append(idx.parent[chain[-1]])
-    chain.reverse()
-    return chain
-
-
-def is_strict_ancestor(idx: TreeIndex, u: int, v: int) -> bool:
-    while idx.parent[v] >= 0:
-        v = idx.parent[v]
-        if v == u:
-            return True
-    return False
-
-
-def is_left_of(idx: TreeIndex, u: int, v: int) -> bool:
-    """True when ``u`` sits in a subtree hanging off a left sibling of
-    some ancestor-or-self of ``v`` (neither may be an ancestor of the
-    other)."""
-    if u == v:
-        return False
-    cu = _root_chain(idx, u)
-    cv = _root_chain(idx, v)
-    k = 0
-    while k < min(len(cu), len(cv)) and cu[k] == cv[k]:
-        k += 1
-    if k == len(cu) or k == len(cv):
-        return False
-    sibs = idx.children[cu[k - 1]]
-    return sibs.index(cu[k]) < sibs.index(cv[k])
 
 
 # ---------------------------------------------------------------------------
@@ -298,35 +249,28 @@ def first_inversion_tree(p: Sequence[int]) -> LabeledTree:
     p = check_fixes_one(p)
     n = len(p)
     t = first_inversions(p)
-    kids: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    parents = [0] * n  # by value - 1, so children lists come out in label order
     for i in range(2, n + 1):
         ti = t[i - 2]
-        parent = p[ti - 1] if ti <= n else 1
-        kids[parent].append(p[i - 1])
+        parents[p[i - 1] - 1] = p[ti - 1] - 1 if ti <= n else 0
+    return _nest(_children_table(parents[1:]), range(1, n + 1))
 
-    def build(lbl: int) -> LabeledTree:
-        return (lbl, tuple(build(c) for c in sorted(kids[lbl])))
 
-    return build(1)
+def _increasing_postorder(lt: LabeledTree) -> list[int] | None:
+    """The labels in postorder, each child list ordered by label, or None
+    unless ``lt`` is increasing."""
+    post: list[int] = []
+
+    def leave(node: LabeledTree, increasing: list[bool]) -> bool:
+        post.append(node[0])
+        return all(increasing) and all(node[0] < child[0] for child in node[1])
+
+    ok = _fold(lt, lambda node: iter(sorted(node[1], key=_label)), leave)
+    return post if ok and sorted(post) == list(range(1, len(post) + 1)) else None
 
 
 def is_increasing(lt: LabeledTree) -> bool:
-    n = len(postorder_labels(lt))
-    seen: list[int] = []
-
-    def visit(node: LabeledTree, parent_label: int) -> bool:
-        lbl, kids = node
-        seen.append(lbl)
-        if lbl <= parent_label:
-            return False
-        return all(visit(c, lbl) for c in kids)
-
-    return visit(lt, 0) and sorted(seen) == list(range(1, n + 1))
-
-
-def _sorted_by_label(lt: LabeledTree) -> LabeledTree:
-    lbl, kids = lt
-    return (lbl, tuple(sorted((_sorted_by_label(c) for c in kids), key=lambda c: c[0])))
+    return _increasing_postorder(lt) is not None
 
 
 def perm_from_increasing_tree(lt: LabeledTree) -> tuple[int, ...]:
@@ -337,21 +281,16 @@ def perm_from_increasing_tree(lt: LabeledTree) -> tuple[int, ...]:
     >>> perm_from_increasing_tree((1, ((2, ((6, ()),)), (3, ()), (4, ((5, ()), (7, ()))))))
     (1, 6, 2, 3, 5, 7, 4)
     """
-    if not is_increasing(lt):
+    post = _increasing_postorder(lt)
+    if post is None:
         raise ValueError("labels must be 1..n and strictly increase away from the root")
-    post = postorder_labels(_sorted_by_label(lt))
     return (1, *post[:-1])
 
 
 def plane_shape(lt: LabeledTree) -> PlaneTree:
     """Forget labels after ordering each child list by label."""
-    lbl, kids = _sorted_by_label(lt)
-
-    def strip(node: LabeledTree) -> PlaneTree:
-        _, ks = node
-        return tuple(strip(c) for c in ks)
-
-    return strip((lbl, kids))
+    idx, labels = index_labeled_tree(lt)
+    return tree_of_index([sorted(kids, key=labels.__getitem__) for kids in idx.children])
 
 
 # ---------------------------------------------------------------------------
@@ -376,27 +315,19 @@ def eastpush_labeling(t: PlaneTree) -> LabeledTree:
             labels[c] = counter
             counter += 1
             stack.append(c)
-    return _labeled_from_index(idx.children, labels)
+    return _nest(idx.children, labels)
 
 
 def westpop_labeling(t: PlaneTree) -> LabeledTree:
     """Label on pop: pop a vertex, give it the next label, then push its
-    children right to left.
+    children right to left.  That is the preorder numbering ``_index``
+    hands out.
 
     >>> format_labeled_tree(westpop_labeling(parse_plane_tree("((()) () (()()))")))
     '1(2(3) 4 5(6 7))'
     """
     idx = index_tree(t)
-    labels = [0] * len(idx)
-    counter = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        labels[v] = counter
-        counter += 1
-        for c in reversed(idx.children[v]):
-            stack.append(c)
-    return _labeled_from_index(idx.children, labels)
+    return _nest(idx.children, range(1, len(idx) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -407,54 +338,42 @@ def fif_from_tree(t: PlaneTree) -> tuple[int, ...]:
     """Read a plane tree as a first-inversion table: the entry for the
     vertex at postorder position i - 1 is one past its parent's postorder
     position (the root, at position n, yields the sentinel n + 1)."""
-    idx = index_tree(t)
-    post = postorder_ids(idx)
-    n = len(post)
-    pos = {v: k + 1 for k, v in enumerate(post)}
-    out = []
-    for p in range(1, n):
-        v = post[p - 1]
-        out.append(pos[idx.parent[v]] + 1)
-    out.append(n + 1)
-    return tuple(out)
+    table: list[int] = []
+
+    def place(node: PlaneTree, kid_positions: list[int]) -> int:
+        table.append(0)
+        for k in kid_positions:
+            table[k - 1] = len(table) + 1
+        return len(table)
+
+    _fold(t, iter, place)
+    table[-1] = len(table) + 1
+    return tuple(table)
 
 
 def tree_from_first_inversions(t: Sequence[int]) -> PlaneTree:
-    """Rebuild the plane tree whose postorder parent map is ``t``.
+    """Rebuild the plane tree whose postorder parent map is ``t``.  Each
+    parent's position exceeds its children's, so ids n - p suit ``_nest``.
 
     >>> format_plane_tree(tree_from_first_inversions((3, 8, 8, 7, 7, 8, 8)))
     '((()) () (() ()))'
     """
     t = check_first_inversions(t)
     n = len(t)
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    kids: list[list[int]] = [[] for _ in range(n)]
     for p in range(1, n):
         ti = t[p - 1]
-        par = ti - 1 if ti <= n else n
-        kids[par].append(p)
-
-    order: list[int] = []
-
-    def walk(v: int) -> None:
-        for c in kids[v]:
-            walk(c)
-        order.append(v)
-
-    walk(n)
-    if order != list(range(1, n + 1)):
-        raise ValueError("table does not describe postorder parents of any plane tree")
-    return tree_of_index(kids, n)
+        kids[n + 1 - ti if ti <= n else 0].append(n - p)
+    return tree_of_index(kids)
 
 
 # ---------------------------------------------------------------------------
 # canonical forms and enumeration
 
 
-def _canonical_with_key(t: PlaneTree) -> tuple[PlaneTree, str]:
-    pairs = [_canonical_with_key(c) for c in t]
+def _canonical_with_key(node: PlaneTree, pairs: list[tuple[PlaneTree, str]]) -> tuple[PlaneTree, str]:
     pairs.sort(key=lambda cs: (len(cs[1]), cs[1]))
-    tree = tuple(p[0] for p in pairs)
-    return tree, "(" + " ".join(p[1] for p in pairs) + ")"
+    return tuple(p[0] for p in pairs), "(" + " ".join(p[1] for p in pairs) + ")"
 
 
 def canonicalize(t: PlaneTree) -> PlaneTree:
@@ -464,7 +383,7 @@ def canonicalize(t: PlaneTree) -> PlaneTree:
     >>> canonicalize(((((),),), ()))
     ((), (((),),))
     """
-    return _canonical_with_key(t)[0]
+    return _fold(t, iter, _canonical_with_key)[0]
 
 
 def catalan(m: int) -> int:
@@ -513,7 +432,7 @@ def increasing_trees(n: int) -> Iterator[LabeledTree]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     for par in parent_vectors(n):
-        yield _labeled_from_index(_children_table(par), range(1, n + 1))
+        yield _nest(_children_table(par), range(1, n + 1))
 
 
 def increasing_tree_shapes(n: int) -> Iterator[PlaneTree]:

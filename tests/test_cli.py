@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import treegamekit
+from treegamekit import tamari
 from treegamekit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -450,3 +451,123 @@ class TestHarness:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"tgk {treegamekit.__version__}"
+
+
+# Deeper than the interpreter's recursion limit twice over, so that any
+# walk that recursed once per level would fail on these inputs.
+DEEP = 2 * sys.getrecursionlimit() + 1
+HUGE = 100_000
+
+
+def plane_path(n):
+    """A path with n vertices, as plane-tree text."""
+    return "(" * n + ")" * n
+
+
+def labeled_path(n):
+    """The increasing path 1(2(3(...(n)))) as labelled-tree text."""
+    return "(".join(str(k) for k in range(1, n + 1)) + ")" * (n - 1)
+
+
+def path_phi(n):
+    """The game polynomial of an n-vertex path, 1 + q + ... + q^(n-1)."""
+    return " + ".join(["1", "q", *(f"q^{d}" for d in range(2, n))][:n])
+
+
+class TestDeepTrees:
+    """Every tree-taking command answers, or exits 2 by a size cap, on
+    inputs far deeper than the recursion limit, and never raises."""
+
+    @pytest.mark.parametrize("via", ["recursion", "prunings"])
+    def test_phi_on_a_deep_path(self, capsys, via):
+        code, out, err = run(capsys, "phi", "--tree", plane_path(DEEP), "--via", via)
+        assert (code, err) == (0, "")
+        assert out == path_phi(DEEP) + "\n"
+
+    @pytest.mark.parametrize("n", [DEEP, DEEP + 1])
+    def test_winner_follows_edge_parity(self, capsys, n):
+        code, out, _ = run(capsys, "winner", "--tree", plane_path(n))
+        assert code == 0
+        if (n - 1) % 2:
+            assert out == f"player1\nmove 1 {plane_path(n - 1)}\n"
+        else:
+            assert out == "player2\n"
+
+    def test_winner_examines_both_deep_children_twice(self, capsys):
+        # each child is a path with an odd number of edges, a win for its
+        # own mover, so the root's mover has to look at both and loses
+        tree = "(" + plane_path(DEEP + 1) * 2 + ")"
+        for _ in range(2):
+            code, out, _ = run(capsys, "winner", "--tree", tree)
+            assert (code, out) == (0, "player2\n")
+
+    def test_euler_on_a_deep_path(self, capsys):
+        code, out, _ = run(capsys, "euler", "--tree", plane_path(DEEP), "--q", "2")
+        assert code == 0
+        lines = dict(line.split("\t") for line in out.strip().splitlines())
+        assert lines["chi_real"] == str(DEEP % 2)
+        assert lines["chi_complex"] == str(DEEP)
+        assert lines["points(2)"] == str(2**DEEP - 1)
+
+    @pytest.mark.parametrize("mode", ["eastpush", "westpop"])
+    def test_label_a_deep_path(self, capsys, mode):
+        code, out, _ = run(capsys, "label", "--mode", mode, "--tree", plane_path(DEEP))
+        assert (code, out) == (0, labeled_path(DEEP) + "\n")
+
+    @pytest.mark.parametrize("command", ["prunings", "tamari-fiber"])
+    def test_capped_commands_exit_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--tree", plane_path(DEEP))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and str(DEEP) in err
+
+    def test_tamari_join_and_meet_of_deep_path_and_star(self, capsys):
+        path, star = plane_path(DEEP), "(" + "()" * (DEEP - 1) + ")"
+        code, out, _ = run(capsys, "tamari-join", "--a", path, "--b", star)
+        assert (code, out) == (0, path + "\n")
+        try:
+            code, out, _ = run(capsys, "tamari-meet", "--a", path, "--b", star)
+        finally:
+            # the cached orbits of a deep path hold O(DEEP^2) integers
+            tamari._orbits.cache_clear()
+        assert (code, out) == (0, "(" + " ".join(["()"] * (DEEP - 1)) + ")\n")
+
+    def test_montecarlo_walks_a_deep_path(self, capsys):
+        # at q = -1 every coin comes up heads, so each trial walks the
+        # whole path; the event holds when the edge count is even
+        code, out, _ = run(capsys, "montecarlo", "--tree", plane_path(DEEP), "--q=-1", "--trials", "3")
+        assert code == 0
+        fields = dict(line.split("\t") for line in out.strip().splitlines())
+        want = "1.000000" if (DEEP - 1) % 2 == 0 else "0.000000"
+        assert fields["empirical"] == fields["exact"] == want
+
+    @pytest.mark.parametrize("n", [DEEP, HUGE])
+    def test_gamma_of_a_falling_tail_is_a_path(self, capsys, n):
+        perm = ",".join(map(str, [1, *range(n, 1, -1)]))
+        code, out, _ = run(capsys, "gamma", "--perm", perm)
+        assert (code, out) == (0, labeled_path(n) + "\n")
+        code, out, _ = run(capsys, "gamma-inv", "--tree", labeled_path(n))
+        assert (code, out) == (0, perm + "\n")
+
+    def test_gamma_of_the_identity_is_a_star(self, capsys):
+        perm = ",".join(map(str, range(1, HUGE + 1)))
+        star = "1(" + " ".join(map(str, range(2, HUGE + 1))) + ")"
+        code, out, _ = run(capsys, "gamma", "--perm", perm)
+        assert (code, out) == (0, star + "\n")
+        code, out, _ = run(capsys, "gamma-inv", "--tree", star)
+        assert (code, out) == (0, perm + "\n")
+
+    @pytest.mark.parametrize("n", [HUGE, HUGE + 1])
+    def test_winner_and_label_on_a_huge_path(self, capsys, n):
+        tree = plane_path(n)
+        code, out, _ = run(capsys, "winner", "--tree", tree)
+        assert code == 0
+        assert out == (f"player1\nmove 1 {plane_path(n - 1)}\n" if (n - 1) % 2 else "player2\n")
+        code, out, _ = run(capsys, "label", "--mode", "westpop", "--tree", tree)
+        assert (code, out) == (0, labeled_path(n) + "\n")
+
+    def test_winner_and_label_on_a_huge_star(self, capsys):
+        star = "(" + "()" * (HUGE - 1) + ")"
+        code, out, _ = run(capsys, "winner", "--tree", star)
+        assert (code, out) == (0, "player1\nmove 1 ()\n")
+        code, out, _ = run(capsys, "label", "--mode", "eastpush", "--tree", star)
+        assert (code, out) == (0, "1(" + " ".join(map(str, range(2, HUGE + 1))) + ")\n")

@@ -48,6 +48,56 @@ def brute_avoids(p, pattern):
     return True
 
 
+def scan_first_inversions(p):
+    """The table by the definition's double loop, O(n^2)."""
+    n = len(p)
+    out = []
+    for i in range(2, n + 1):
+        ti = n + 1
+        for j in range(i + 1, n + 1):
+            if p[j - 1] < p[i - 1]:
+                ti = j
+                break
+        out.append(ti)
+    out.append(n + 1)
+    return tuple(out)
+
+
+def scan_check_first_inversions(t):
+    """Validation by double loops, O(n^2); returns the error message, or
+    None for a valid table."""
+    n = len(t)
+    if n == 0:
+        return "empty first-inversion table"
+    if t[n - 1] != n + 1:
+        return f"entry for argument {n + 1} must be the sentinel {n + 1}, got {t[n - 1]}"
+    for i in range(2, n + 1):
+        ti = t[i - 2]
+        if not i < ti <= n + 1:
+            return f"t({i}) = {ti} is outside {i + 1}..{n + 1}"
+    for i in range(2, n + 1):
+        for j in range(i + 1, min(t[i - 2], n + 1)):
+            if t[j - 2] > t[i - 2]:
+                return f"crossing pair: t({i}) = {t[i - 2]} but t({j}) = {t[j - 2]}"
+    return None
+
+
+def check_message(t):
+    try:
+        check_first_inversions(t)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def tables(draw, max_n=30):
+    """Tables whose entries lie in range, so that crossings are what fails."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entries = [draw(st.integers(i + 1, n + 1)) for i in range(2, n + 1)]
+    return (*entries, n + 1)
+
+
 @st.composite
 def perms_fixing_one(draw, max_n=8):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -149,6 +199,25 @@ class TestFirstInversions:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             check_first_inversions(())
+
+    def test_matches_scan_exhaustively(self):
+        for n in range(1, 8):
+            for p in enumerate_fixing_one(n):
+                assert first_inversions(p) == scan_first_inversions(p)
+
+    @given(perms_fixing_one(max_n=40))
+    def test_matches_scan_on_random_perms(self, p):
+        assert first_inversions(p) == scan_first_inversions(p)
+
+    def test_check_matches_scan_exhaustively(self):
+        # every table with entries in 1..n+2, valid or not, for n <= 5
+        for n in range(1, 6):
+            for t in itertools.product(range(1, n + 3), repeat=n):
+                assert check_message(t) == scan_check_first_inversions(t)
+
+    @given(tables())
+    def test_check_matches_scan_on_random_tables(self, t):
+        assert check_message(t) == scan_check_first_inversions(t)
 
 
 class TestOrbits:

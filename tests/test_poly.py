@@ -1,5 +1,6 @@
 """Tests for integer polynomials, the game polynomial, and its event model."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegamekit import lattice, poly
+from treegamekit import lattice
 from treegamekit.game import mover_loses
 from treegamekit.lattice import PruningLattice
 from treegamekit.poly import (
@@ -222,21 +223,22 @@ class TestPruningProfiles:
         with pytest.raises(ValueError, match="prunings"):
             pruning_profiles((big, big))
 
-    def test_size_cap_stops_listing_children(self, monkeypatch):
+    def test_size_cap_stops_listing_children(self):
         # a root with 100 two-vertex paths has 3^100 prunings; 3^12 is the
-        # first power past 2^19, so only 12 children are listed
-        listed = []
-        original = poly.pruning_profiles
-
-        def counting(t):
-            if t == ((),):
-                listed.append(t)
-            return original(t)
-
-        monkeypatch.setattr(poly, "pruning_profiles", counting)
+        # first power past 2^19
         with pytest.raises(ValueError, match="at least 531441 prunings"):
-            original((((),),) * 100)
-        assert len(listed) == 12
+            pruning_profiles((((),),) * 100)
+        # a root over 100 nineteen-leaf stars is refused after its first
+        # child, 2^19 + 1 options, before any star's 2^19 profiles are
+        # listed: the refusal traces less than one such list's pointers
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at least 524289 prunings"):
+                pruning_profiles((((),) * 19,) * 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 19
 
     def test_sum_route_matches_product_route(self):
         for n in range(1, 9):

@@ -1,4 +1,8 @@
-"""The package's public names, pinned so that deleting code cannot drop one."""
+"""The package's public names, pinned so that deleting code cannot drop
+one, and the package's freedom from recursion."""
+
+import ast
+from pathlib import Path
 
 import treegamekit
 
@@ -51,3 +55,27 @@ def test_all_is_pinned_and_resolves():
     assert treegamekit.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(treegamekit, name) is not None
+
+
+# Functions allowed to call themselves, each with the reason.
+RECURSION_ALLOWED = {
+    "_forests": "recurses on the vertex count n, not on tree depth",
+}
+
+
+def test_no_function_calls_itself():
+    # a call by a function's own name, bare or as an attribute, in its
+    # body or a nested function's; nested functions are checked as well
+    package = Path(treegamekit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                    if name == fn.name and fn.name not in RECURSION_ALLOWED:
+                        found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert found == []

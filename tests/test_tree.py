@@ -27,16 +27,11 @@ from treegamekit.tree import (
     index_labeled_tree,
     index_tree,
     is_increasing,
-    is_left_of,
-    is_strict_ancestor,
     parse_labeled_tree,
     parse_plane_tree,
     perm_from_increasing_tree,
     plane_shape,
     plane_trees,
-    postorder,
-    postorder_ids,
-    postorder_labels,
     random_plane_tree,
     rooted_trees,
     tree_from_first_inversions,
@@ -53,6 +48,57 @@ plane_tree_st = st.recursive(
     lambda kids: st.lists(kids, max_size=4).map(tuple),
     max_leaves=12,
 )
+
+
+# Oracles the package itself no longer needs: plain recursive walks and
+# ancestor-chain tests, fine on the small trees used here.
+
+
+def postorder(t):
+    """Subtrees in postorder (children left to right, then the vertex)."""
+    return [s for c in t for s in postorder(c)] + [t]
+
+
+def postorder_labels(lt):
+    lbl, kids = lt
+    return [x for c in kids for x in postorder_labels(c)] + [lbl]
+
+
+def postorder_ids(idx, v=0):
+    return [u for c in idx.children[v] for u in postorder_ids(idx, c)] + [v]
+
+
+def _root_chain(idx, v):
+    chain = [v]
+    while idx.parent[chain[-1]] >= 0:
+        chain.append(idx.parent[chain[-1]])
+    chain.reverse()
+    return chain
+
+
+def is_strict_ancestor(idx, u, v):
+    while idx.parent[v] >= 0:
+        v = idx.parent[v]
+        if v == u:
+            return True
+    return False
+
+
+def is_left_of(idx, u, v):
+    """True when ``u`` sits in a subtree hanging off a left sibling of
+    some ancestor-or-self of ``v`` (neither may be an ancestor of the
+    other)."""
+    if u == v:
+        return False
+    cu = _root_chain(idx, u)
+    cv = _root_chain(idx, v)
+    k = 0
+    while k < min(len(cu), len(cv)) and cu[k] == cv[k]:
+        k += 1
+    if k == len(cu) or k == len(cv):
+        return False
+    sibs = idx.children[cu[k - 1]]
+    return sibs.index(cu[k]) < sibs.index(cv[k])
 
 
 class TestGrammar:
