@@ -4,7 +4,8 @@
 For a batch of seeded random trees and a grid of q values in [-1, 0],
 estimate the event probability empirically and report the worst
 deviation from phi(q).  Exits nonzero when the worst error crosses the
-tolerance.
+Hoeffding tolerance for the trial count (``event_tolerance``: each
+estimate strays that far with probability at most 1e-9).
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from treegamekit.poly import event_frequency, game_polynomial
+from treegamekit.poly import event_frequency, event_tolerance, game_polynomial
 from treegamekit.tree import format_plane_tree, random_plane_tree
 
 
@@ -23,7 +24,6 @@ class SweepConfig:
     max_size: int = 10
     trials: int = 100_000
     seed: int = 0
-    tolerance: float = 0.015
     qs: tuple[Fraction, ...] = (
         Fraction(-1, 4),
         Fraction(-1, 2),
@@ -32,6 +32,7 @@ class SweepConfig:
 
 
 def run(cfg: SweepConfig) -> int:
+    tolerance = event_tolerance(cfg.trials)
     worst = 0.0
     worst_case = ""
     print("tree\tq\texact\tempirical\tabs_error")
@@ -52,8 +53,9 @@ def run(cfg: SweepConfig) -> int:
                 worst = err
                 worst_case = f"{format_plane_tree(t)} at q={q}"
     print(f"worst\t{worst:.6f}\t{worst_case}")
-    if worst > cfg.tolerance:
-        print(f"FAIL: worst error above {cfg.tolerance}", file=sys.stderr)
+    print(f"tolerance\t{tolerance:.6f}")
+    if worst > tolerance:
+        print(f"FAIL: worst error above {tolerance:.6f}", file=sys.stderr)
         return 1
     return 0
 
@@ -64,16 +66,16 @@ def main() -> int:
     parser.add_argument("--max-size", type=int, default=10)
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance", type=float, default=0.015)
     args = parser.parse_args()
     if args.max_size < 2:
         parser.error("--max-size must be >= 2")
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
     cfg = SweepConfig(
         trees=args.trees,
         max_size=args.max_size,
         trials=args.trials,
         seed=args.seed,
-        tolerance=args.tolerance,
     )
     return run(cfg)
 

@@ -128,7 +128,7 @@ def _check_congruence(cfg: VerifyConfig) -> CheckResult:
         if not rep.ok:
             detail = "; ".join(c.details for c in rep.checks if not c.passed)
             return CheckResult(name, False, f"n={n}: {detail}")
-    return CheckResult(name, True, f"fibers and projections through n={n_max}")
+    return CheckResult(name, True, f"fibers, projections and hook counts through n={n_max}")
 
 
 def _quotient_oracle(n: int):
@@ -229,12 +229,14 @@ def _check_monte_carlo(cfg: VerifyConfig) -> CheckResult:
     name = "monte-carlo"
     trees = [((), ((), ())), ((((),),),), ((), (), ())]
     q = Fraction(-1, 2)
+    eps = poly.event_tolerance(cfg.trials)
     for k, t in enumerate(trees):
         exact = float(poly.game_polynomial(t)(q))
         emp = poly.event_frequency(t, q, trials=cfg.trials, seed=cfg.seed + k)
-        if abs(emp - exact) > 0.025:
-            return CheckResult(name, False, f"|{emp} - {exact}| > 0.025 on tree {k}")
-    return CheckResult(name, True, f"{cfg.trials} trials per tree at q=-1/2")
+        if abs(emp - exact) > eps:
+            return CheckResult(name, False, f"|{emp} - {exact}| > eps = {eps:.4f} on tree {k}")
+    detail = f"{cfg.trials} trials per tree at q=-1/2, within Hoeffding eps = {eps:.4f} at delta = {poly.EVENT_DELTA:g}"
+    return CheckResult(name, True, detail)
 
 
 ALL_CHECKS = (

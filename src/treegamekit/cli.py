@@ -7,12 +7,14 @@ validation, and the cross-identity verify suite.  Exit codes: 0 on
 success, 1 when a verification reports failure, 2 on usage or parse
 errors.  ``--json`` switches any invocation to a single JSON document.
 The environment variable ``TGK_MAX_N`` overrides the safety cap on the
-enumeration-heavy subcommands (tree census, fibers, congruence checks).
+enumeration-heavy subcommands: the tree census and congruence checks
+refuse larger n, and a fiber with more than (TGK_MAX_N - 1)! members.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -58,6 +60,24 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"bad rational number {text!r}") from None
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Write integers of any length.  The interpreter refuses to convert
+    integers of over 4,300 digits to or from text, to keep parsing
+    untrusted input cheap; the limit is lifted only while our own results
+    are formatted, never while input is parsed."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # 3.10.7 and later
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
 def _exact(value):
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
@@ -98,7 +118,8 @@ def _handle_seq(args) -> Handled:
         values = seq.census_by_split_recurrence(n)
     else:
         values = seq.census_by_complement_recurrence(n)
-    lines = [f"{i}\t{v}" for i, v in enumerate(values, start=1)]
+    with _exact_digits():
+        lines = [f"{i}\t{v}" for i, v in enumerate(values, start=1)]
     return 0, {"command": "seq", "n": n, "method": method, "values": values}, lines
 
 
@@ -108,9 +129,12 @@ def _handle_stirling(args) -> Handled:
         raise ValueError(f"--n must be >= 0, got {n}")
     if args.k is not None:
         value = seq.stirling_first(n, args.k)
-        return 0, {"command": "stirling", "n": n, "k": args.k, "value": value}, [str(value)]
+        with _exact_digits():
+            text = str(value)
+        return 0, {"command": "stirling", "n": n, "k": args.k, "value": value}, [text]
     row = [seq.stirling_first(n, k) for k in range(n + 1)]
-    lines = [f"{k}\t{v}" for k, v in enumerate(row)]
+    with _exact_digits():
+        lines = [f"{k}\t{v}" for k, v in enumerate(row)]
     return 0, {"command": "stirling", "n": n, "row": row}, lines
 
 
@@ -427,7 +451,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(payload))
+        with _exact_digits():
+            print(json.dumps(payload))
     else:
         for line in lines:
             print(line)

@@ -28,6 +28,7 @@ from typing import Iterable
 from .tree import PlaneTree, _fold, index_tree, vertex_count
 
 MATERIALIZE_LIMIT = 20
+EVENT_DELTA = 1e-9
 
 
 class Poly:
@@ -249,3 +250,15 @@ def event_frequency(t: PlaneTree, q, trials: int = 100_000, seed: int = 0) -> fl
                 spoiled.add(parent[u])
         hits += 0 not in spoiled
     return hits / trials
+
+
+def event_tolerance(trials: int) -> float:
+    """How far ``event_frequency`` over ``trials`` trials may stray from
+    the exact value: by Hoeffding's inequality it strays further with
+    probability at most ``EVENT_DELTA``, for epsilon =
+    sqrt(ln(2/delta) / 2N).
+
+    >>> round(event_tolerance(20_000), 4)
+    0.0231
+    """
+    return math.sqrt(math.log(2 / EVENT_DELTA) / (2 * trials))

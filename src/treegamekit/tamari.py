@@ -5,21 +5,30 @@ Elements are keyed by first-inversion tables (equivalently plane trees,
 via the postorder parent reading).  The fiber of a tree consists of all
 permutations whose first-inversion tree has that shape; each fiber is a
 weak-order interval whose top avoids 213 and whose bottom avoids 312.
+It is a sylvester class (Hivert, Novelli and Thibon, *The algebra of
+binary search trees*, 2005): the increasing labelings of the tree whose
+sibling labels rise left to right, that is, the linear extensions of
+its left-child right-sibling binary tree, read in postorder.  ``fiber``
+generates exactly those, and its cap is on the member count, which the
+hook-length formula for forests gives up front (``fiber_size``;
+Bjorner and Wachs, *q-hook length formulas for forests*, 1989).
 Join is the pointwise minimum of tables; meet takes, argument by
-argument, the smallest common member of the two forward orbits.
-``verify_congruence`` checks the interval property and that both
-projections (fiber top and fiber bottom) preserve weak order.  Weak
-order is the transitive closure of its covers, so the projections are
-checked on covers only; its intervals are connected under covers, so
-each fiber is compared with an upward cover search from its bottom,
-bounded by its top.
+argument, the smallest common member of the two forward orbits, found
+by walking both increasing chains.
+``verify_congruence`` checks the interval property, that both
+projections (fiber top and fiber bottom) preserve weak order, and that
+every fiber has its hook count of members.  Weak order is the
+transitive closure of its covers, so the projections are checked on
+covers only; its intervals are connected under covers, so each fiber is
+compared with an upward cover search from its bottom, bounded by its
+top.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 from .perm import (
@@ -27,7 +36,6 @@ from .perm import (
     avoids,
     check_first_inversions,
     enumerate_fixing_one,
-    first_inversion_orbit,
     first_inversions,
 )
 from .report import CheckResult, render_lines, results_json
@@ -35,15 +43,13 @@ from .tree import (
     PlaneTree,
     eastpush_labeling,
     fif_from_tree,
-    first_inversion_tree,
     perm_from_increasing_tree,
-    plane_shape,
     tree_from_first_inversions,
-    vertex_count,
     westpop_labeling,
 )
 
 ENUMERATION_LIMIT = 8
+_NAMED = 10**20  # a refused fiber's count is named in full up to this
 
 
 @dataclass(frozen=True)
@@ -71,11 +77,6 @@ class TamariElement:
         return len(self.fif)
 
 
-@lru_cache(maxsize=None)
-def _orbits(fif: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(first_inversion_orbit(fif, i)) for i in range(2, len(fif) + 2))
-
-
 def tamari_join(a: TamariElement, b: TamariElement) -> TamariElement:
     """Pointwise minimum of the two tables."""
     if a.size != b.size:
@@ -89,13 +90,22 @@ def tamari_join(a: TamariElement, b: TamariElement) -> TamariElement:
 
 def tamari_meet(a: TamariElement, b: TamariElement) -> TamariElement:
     """Argument by argument, the least common value of the two forward
-    orbits (both orbits end at the sentinel, so a common value exists)."""
+    orbits.  Both orbits rise to the sentinel, so advancing whichever
+    chain stands lower meets them there at the latest."""
     if a.size != b.size:
         raise ValueError("elements must have the same size")
     n = a.size
-    oa = _orbits(a.fif)
-    ob = _orbits(b.fif)
-    merged = tuple(min(oa[i - 2] & ob[i - 2]) for i in range(2, n + 1)) + (n + 1,)
+    ta, tb = a.fif, b.fif
+    merged = []
+    for i in range(2, n + 1):
+        x, y = ta[i - 2], tb[i - 2]
+        while x != y:
+            if x < y:
+                x = ta[x - 2]
+            else:
+                y = tb[y - 2]
+        merged.append(x)
+    merged.append(n + 1)
     try:
         return TamariElement.from_fif(merged)
     except ValueError as exc:
@@ -116,20 +126,121 @@ class Fiber:
     bottom: Perm
 
 
+def _hook_count(fif: Sequence[int], stop: int | None = None) -> int:
+    """``fiber_size`` of the tree whose postorder parent map is ``fif``.
+
+    A vertex's hook, its subtree with its right siblings' subtrees, fills
+    the postorder positions from the start of its subtree up to, not
+    including, its parent's position; positions are taken in order, so
+    each subtree's start is known before its root is reached.  The count
+    (n - 1)! / prod h(v) is taken as the product over vertices v of
+    C(h(v) - 1, s(v) - 1), s(v) the size of v's subtree: v comes first
+    in its hook, and the rest interleave its descendants with its right
+    siblings' subtrees.  No factor is below 1, so the product only grows;
+    once it passes ``stop`` it is returned as it stands, a lower bound."""
+    n = len(fif)
+    start = list(range(n + 1))  # by 1-based postorder position
+    count = 1
+    for j in range(1, n):
+        parent = fif[j - 1] - 1
+        count *= math.comb(parent - start[j] - 1, j - start[j])
+        if stop is not None and count > stop:
+            return count
+        start[parent] = min(start[parent], start[j])
+    return count
+
+
+def fiber_size(tree: PlaneTree) -> int:
+    """The number of permutations over ``tree``: (n - 1)! divided by the
+    product of the hooks h(v) of the non-root vertices, where h(v) is the
+    size of v's subtree plus the sizes of its right siblings' subtrees.
+
+    >>> fiber_size((((),), (), ((), ())))
+    5
+    """
+    return _hook_count(fif_from_tree(tree))
+
+
+def _fiber_members(fif: Sequence[int]) -> list[Perm]:
+    """The fiber of the tree whose postorder parent map is ``fif``, in
+    generation order.
+
+    Vertex j >= 1 is the one at postorder position j and the root is 0,
+    so the labels in id order are the member itself.  A vertex may be
+    labelled once its binary-tree parent is: its plane parent when it is
+    a first child, its left sibling otherwise.  Labels 2, 3, .. go out
+    depth by depth, each to one of the ``ready`` vertices; a choice is
+    made and undone in place, so the walk holds O(n) besides the output
+    and spends O(n) per member (every partial labelling extends)."""
+    n = len(fif)
+    first = [0] * n  # first child, 0 for none (the root is nobody's child)
+    after = [0] * n  # next sibling
+    last = [0] * n
+    for j in range(1, n):
+        parent = fif[j - 1] - 1
+        if parent == n:
+            parent = 0
+        if last[parent]:
+            after[last[parent]] = j
+        else:
+            first[parent] = j
+        last[parent] = j
+    label = [1] * n
+    ready = [first[0]] if n > 1 else []
+    chosen = [0] * n  # by depth: the vertex labelled depth + 1
+    slot = [0] * n  # by depth: its index in ready
+    members = []
+    depth = i = 0
+    while True:
+        if i < len(ready):
+            v = ready[i]
+            moved = ready.pop()
+            if i < len(ready):
+                ready[i] = moved
+            if first[v]:
+                ready.append(first[v])
+            if after[v]:
+                ready.append(after[v])
+            depth += 1
+            label[v] = depth + 1
+            chosen[depth], slot[depth] = v, i
+            i = 0
+            continue
+        if depth == n - 1:
+            members.append(tuple(label))
+        if depth == 0:
+            return members
+        v, i = chosen[depth], slot[depth]
+        if after[v]:
+            ready.pop()
+        if first[v]:
+            ready.pop()
+        if i < len(ready):
+            ready.append(ready[i])
+            ready[i] = v
+        else:
+            ready.append(v)
+        depth -= 1
+        i += 1
+
+
 def fiber(tree: PlaneTree, limit: int = ENUMERATION_LIMIT) -> Fiber:
-    """Materialize a fiber by scanning all permutations of the right
-    size; the top and bottom come from the two stack labelings."""
-    n = vertex_count(tree)
-    if n > limit:
-        raise ValueError(f"fiber enumeration for {n} vertices exceeds the limit {limit}")
+    """Materialize a fiber, its members sorted; the top and bottom come
+    from the two stack labelings.  Refused when it has more members than
+    the (limit - 1)! permutations of ``limit`` vertices."""
+    fif = fif_from_tree(tree)
+    cap = math.factorial(limit - 1)
+    size = _hook_count(fif, stop=max(cap, _NAMED))
+    if size > cap:
+        count = size if size <= _NAMED else "over 10^20"
+        raise ValueError(f"fiber of {count} members exceeds the cap {cap} = ({limit} - 1)!")
+    members = _fiber_members(fif)
+    members.sort()
     top = perm_from_increasing_tree(eastpush_labeling(tree))
     bottom = perm_from_increasing_tree(westpop_labeling(tree))
-    members = tuple(
-        p for p in enumerate_fixing_one(n) if plane_shape(first_inversion_tree(p)) == tree
-    )
     if top not in members or bottom not in members:
         raise AssertionError("stack labelings must land in their own fiber")
-    return Fiber(tree, members, top, bottom)
+    return Fiber(tree, tuple(members), top, bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +294,10 @@ def _up_covers(p: Perm) -> list[Perm]:
 def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceReport:
     """Exhaustively check, for size ``n``, that the fibers of the
     first-inversion tree map are weak-order intervals with pattern-
-    avoiding extremes and that both interval projections are monotone,
-    walking weak-order covers as the module docstring describes."""
+    avoiding extremes, that both interval projections are monotone,
+    walking weak-order covers as the module docstring describes, and
+    that each fiber's size is its tree's hook count, the counts summing
+    to (n - 1)!."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > limit:
@@ -201,9 +314,15 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
         fibers.setdefault(first_inversions(p), []).append(i)
 
     interval_bad: list[str] = []
+    hook_bad: list[str] = []
+    hook_total = 0
     top_of = [0] * len(perms)
     bottom_of = [0] * len(perms)
     for fif, members in fibers.items():
+        hooks = _hook_count(fif)
+        hook_total += hooks
+        if hooks != len(members):
+            hook_bad.append(f"fiber {fif} has {len(members)} members, hook count {hooks}")
         tree = tree_from_first_inversions(fif)
         top = perm_from_increasing_tree(eastpush_labeling(tree))
         bottom = perm_from_increasing_tree(westpop_labeling(tree))
@@ -230,6 +349,9 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
             top_of[i] = tm
             bottom_of[i] = bm
 
+    if hook_total != math.factorial(n - 1):
+        hook_bad.append(f"hook counts sum to {hook_total}, not {n - 1}!")
+
     up_bad: list[str] = []
     down_bad: list[str] = []
     for i, covers in enumerate(up):
@@ -250,5 +372,6 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
             result("fiber-interval", interval_bad),
             result("upper-projection-monotone", up_bad),
             result("lower-projection-monotone", down_bad),
+            result("fiber-hook-count", hook_bad),
         ),
     )

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import treegamekit
-from treegamekit import tamari
 from treegamekit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -80,6 +80,28 @@ class TestStirling:
         code, out, _ = run(capsys, "stirling", "--n", "6", "--k", "3")
         assert code == 0
         assert out.strip() == "225"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no digit limit"
+    )
+    def test_values_past_the_digit_limit(self, capsys):
+        # c(n, 1) = (n - 1)!, here 4,431 digits: past the 4,300 digits the
+        # interpreter converts by default, which guards only input parsing
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "stirling", "--n", "1600", "--k", "1")
+        assert (code, err) == (0, "")
+        code, blob, err = run(capsys, "--json", "stirling", "--n", "1600", "--k", "1")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(math.factorial(1599))
+            value = json.loads(blob)["value"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(want) > limit
+        assert out == want + "\n"
+        assert value == math.factorial(1599)
 
     def test_large_row_builds_without_recursion(self, capsys):
         # c(n, n - 1) = C(n, 2); n is past the interpreter's default
@@ -261,7 +283,8 @@ class TestTamari:
         code, out, _ = run(capsys, "tamari-verify", "--n", "4")
         assert code == 0
         lines = out.strip().splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 4
+        assert lines[3] == "CHECK fiber-hook-count: PASS (n=4)"
         assert all("PASS" in line for line in lines)
 
     def test_verify_json(self, capsys):
@@ -514,21 +537,30 @@ class TestDeepTrees:
         code, out, _ = run(capsys, "label", "--mode", mode, "--tree", plane_path(DEEP))
         assert (code, out) == (0, labeled_path(DEEP) + "\n")
 
-    @pytest.mark.parametrize("command", ["prunings", "tamari-fiber"])
+    @pytest.mark.parametrize("command", ["prunings"])
     def test_capped_commands_exit_2(self, capsys, command):
         code, out, err = run(capsys, command, "--tree", plane_path(DEEP))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and str(DEEP) in err
 
+    def test_tamari_fiber_of_a_deep_path(self, capsys):
+        # a path's fiber is its one decreasing labelling, whatever its depth
+        member = ",".join(map(str, [1, *range(DEEP, 1, -1)]))
+        code, out, err = run(capsys, "tamari-fiber", "--tree", plane_path(DEEP))
+        assert (code, err) == (0, "")
+        assert out == f"top\t{member}\nbottom\t{member}\nsize\t1\nmember\t{member}\n"
+
+    def test_tamari_fiber_over_the_member_cap_exits_2(self, capsys):
+        # a root over two 20-vertex paths: C(39, 20) members, refused before any is listed
+        code, out, err = run(capsys, "tamari-fiber", "--tree", "(" + plane_path(20) * 2 + ")")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "68923264410" in err and "5040" in err
+
     def test_tamari_join_and_meet_of_deep_path_and_star(self, capsys):
         path, star = plane_path(DEEP), "(" + "()" * (DEEP - 1) + ")"
         code, out, _ = run(capsys, "tamari-join", "--a", path, "--b", star)
         assert (code, out) == (0, path + "\n")
-        try:
-            code, out, _ = run(capsys, "tamari-meet", "--a", path, "--b", star)
-        finally:
-            # the cached orbits of a deep path hold O(DEEP^2) integers
-            tamari._orbits.cache_clear()
+        code, out, _ = run(capsys, "tamari-meet", "--a", path, "--b", star)
         assert (code, out) == (0, "(" + " ".join(["()"] * (DEEP - 1)) + ")\n")
 
     def test_montecarlo_walks_a_deep_path(self, capsys):

@@ -1,6 +1,8 @@
 """Tests for the quotient lattice: fibers, join, meet, and congruence."""
 
 import itertools
+import math
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from treegamekit import tamari
 from treegamekit.perm import (
     avoids,
     enumerate_fixing_one,
+    first_inversion_orbit,
     first_inversions,
     inversions,
     weak_leq,
@@ -20,6 +23,7 @@ from treegamekit.tamari import (
     _inversion_mask,
     _up_covers,
     fiber,
+    fiber_size,
     tamari_join,
     tamari_leq,
     tamari_meet,
@@ -27,10 +31,12 @@ from treegamekit.tamari import (
 )
 from treegamekit.tree import (
     catalan,
+    fif_from_tree,
     first_inversion_tree,
     parse_plane_tree,
     plane_shape,
     plane_trees,
+    random_plane_tree,
     tree_from_first_inversions,
 )
 
@@ -78,10 +84,35 @@ def oracle_bound(classes, leq, x, y, upper):
     return classes[best[0]]
 
 
+def hook_product(t):
+    """The product over non-root vertices of the vertex's subtree size
+    plus its right siblings' subtree sizes, from nested tuples."""
+    sizes = {}
+    stack = [(t, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node)
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in node)
+    product = 1
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        tail = 0
+        for c in reversed(node):
+            tail += sizes[id(c)]
+            product *= tail
+        stack.extend(node)
+    return product
+
+
 def _verify_congruence_pairwise(n):
     """The congruence check by brute force over all pairs: every fiber
     against every permutation, and both projections on every comparable
-    pair.  Labelings are looked up on ``tamari`` at call time, so a fault
+    pair; fiber sizes against the hook-length formula over every plane
+    tree.  Labelings are looked up on ``tamari`` at call time, so a fault
     patched in there reaches this oracle as well."""
     perms = list(enumerate_fixing_one(n))
     pair_index = {pair: k for k, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
@@ -126,10 +157,15 @@ def _verify_congruence_pairwise(n):
                     up_bad.append(f"upper projection reverses {a} <= {b}")
                 if bottom_of[a] & ~bottom_of[b] != 0:
                     down_bad.append(f"lower projection reverses {a} <= {b}")
+    hooks_ok = all(
+        len(fibers.get(fif_from_tree(t), ())) * hook_product(t) == math.factorial(n - 1)
+        for t in plane_trees(n)
+    )
     return {
         "fiber-interval": not interval_bad,
         "upper-projection-monotone": not up_bad,
         "lower-projection-monotone": not down_bad,
+        "fiber-hook-count": hooks_ok,
     }
 
 
@@ -210,6 +246,20 @@ class TestJoinMeet:
             for a, b in itertools.combinations(elements, 2):
                 tamari_join(a, b)
                 tamari_meet(a, b)
+
+    def test_meet_is_least_common_orbit_value(self):
+        # the orbit-intersection meet: per argument, the least value on
+        # both forward orbits
+        for n in range(1, 8):
+            elements = [TamariElement.from_tree(t) for t in plane_trees(n)]
+            orbits = {
+                e.fif: [set(first_inversion_orbit(e.fif, i)) for i in range(2, n + 1)]
+                for e in elements
+            }
+            for a, b in itertools.product(elements, repeat=2):
+                oa, ob = orbits[a.fif], orbits[b.fif]
+                want = tuple(min(x & y) for x, y in zip(oa, ob)) + (n + 1,)
+                assert tamari_meet(a, b).fif == want, (a.fif, b.fif)
 
     def test_size_mismatch(self):
         a = TamariElement.from_tree(())
@@ -307,10 +357,60 @@ class TestFibers:
                 assert weak_leq(p, f.top)
 
     def test_limit_guard(self):
-        big = ((),) * 8
-        with pytest.raises(ValueError):
-            fiber(big)
-        fiber(big, limit=9)
+        # the cap is on members: at most (limit - 1)! of them, whatever n
+        star = ((),) * 40
+        assert fiber(star).members == (tuple(range(1, 42)),)
+        twin = ((((),),),) * 2  # a root over two 3-vertex paths: C(5, 2) = 10 members
+        assert len(fiber(twin, limit=5).members) == 10
+        with pytest.raises(ValueError, match=r"fiber of 10 members exceeds the cap 6 "):
+            fiber(twin, limit=4)
+
+    def test_long_path_has_one_member(self):
+        path = ()
+        for _ in range(29):
+            path = (path,)
+        f = fiber(path)
+        assert f.members == ((1, *range(30, 1, -1)),)
+        assert f.top == f.bottom == f.members[0]
+
+    def test_wide_fiber_is_refused_up_front(self):
+        arm = ()
+        for _ in range(19):
+            arm = (arm,)  # a 20-vertex path
+        with pytest.raises(ValueError, match="68923264410"):
+            fiber((arm, arm))
+        assert fiber_size((arm, arm)) == math.comb(39, 19)
+        for _ in range(80):
+            arm = (arm,)  # a 100-vertex path; C(199, 99) has 59 digits
+        with pytest.raises(ValueError, match=r"fiber of over 10\^20 members exceeds the cap 5040 "):
+            fiber((arm, arm))
+
+    def test_members_match_the_permutation_scan(self):
+        # one scan per n buckets every permutation by the shape over it
+        for n in range(1, 9):
+            buckets = {}
+            for p in enumerate_fixing_one(n):
+                buckets.setdefault(plane_shape(first_inversion_tree(p)), []).append(p)
+            assert len(buckets) == catalan(n - 1)
+            for t in plane_trees(n):
+                assert fiber(t).members == tuple(buckets[t]), t
+                assert fiber_size(t) == len(buckets[t]), t
+
+    def test_fiber_size_is_the_hook_length_formula(self):
+        for n in range(1, 9):
+            for t in plane_trees(n):
+                assert fiber_size(t) * hook_product(t) == math.factorial(n - 1), t
+
+    def test_random_larger_fibers(self):
+        rng = random.Random(2024)
+        for _ in range(16):
+            t = random_plane_tree(rng.randint(9, 14), rng)
+            f = fiber(t, limit=14)
+            fif = fif_from_tree(t)
+            assert list(f.members) == sorted(set(f.members))
+            assert len(f.members) == fiber_size(t)
+            assert all(first_inversions(p) == fif for p in f.members)
+            assert f.top in f.members and f.bottom in f.members
 
 
 class TestCongruence:
@@ -319,12 +419,12 @@ class TestCongruence:
             report = verify_congruence(n)
             assert report.ok
             assert report.n == n
-            assert len(report.checks) == 3
+            assert len(report.checks) == 4
 
     def test_lines_and_json(self):
         report = verify_congruence(4)
         lines = report.to_lines()
-        assert len(lines) == 3
+        assert len(lines) == 4
         assert all(line.startswith("CHECK ") for line in lines)
         assert all(line.count("PASS") == 1 for line in lines)
         assert lines == render_lines(report.checks)
@@ -336,6 +436,7 @@ class TestCongruence:
             "fiber-interval",
             "upper-projection-monotone",
             "lower-projection-monotone",
+            "fiber-hook-count",
         }
 
     def test_matches_pairwise_oracle(self):
