@@ -8,13 +8,13 @@ stops at 10; the closed-form columns go as far as you like.
 import argparse
 import sys
 
+from treegamekit.game import census_second_player_wins
 from treegamekit.seq import (
     METHODS,
     census_by_complement_recurrence,
     census_by_egf,
     census_by_split_recurrence,
     census_by_stirling_sum,
-    census_by_tree_enumeration,
 )
 
 
@@ -40,7 +40,7 @@ def main() -> int:
     }
     census_rows = min(n_max, args.census_limit)
     columns["census"] = [
-        census_by_tree_enumeration(n, limit=args.census_limit)
+        census_second_player_wins(n, limit=args.census_limit)
         for n in range(1, census_rows + 1)
     ]
 

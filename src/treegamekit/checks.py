@@ -208,19 +208,20 @@ def _check_euler_data(cfg: VerifyConfig) -> CheckResult:
     name = "euler-data"
     for t in _sampled_trees(cfg, 12):
         profiles = poly.pruning_profiles(t)
+        phi = poly.game_polynomial(t)
         cells = len(profiles)
-        if geometry.euler_characteristic_complex(t) != cells:
+        if geometry.euler_characteristic_complex(phi) != cells:
             return CheckResult(name, False, f"cell count mismatch on {tree.format_plane_tree(t)}")
         direct_real = sum(-1 if r % 2 else 1 for r, _, _ in profiles)
-        if geometry.euler_characteristic_real(t) != direct_real:
+        if geometry.euler_characteristic_real(phi) != direct_real:
             return CheckResult(name, False, f"real characteristic mismatch on {tree.format_plane_tree(t)}")
-        if geometry.euler_characteristic_real(t) != cells % 2:
+        if geometry.euler_characteristic_real(phi) != cells % 2:
             return CheckResult(name, False, f"parity mismatch on {tree.format_plane_tree(t)}")
         for q in (2, 3, 5):
             direct = sum(q**r for r, _, _ in profiles)
-            if geometry.point_count(t, q) != direct:
+            if geometry.point_count(phi, q) != direct:
                 return CheckResult(name, False, f"point count mismatch at q={q}")
-        if geometry.poincare_polynomial(t)(1) != cells:
+        if geometry.poincare_polynomial(phi)(1) != cells:
             return CheckResult(name, False, f"poincare total mismatch on {tree.format_plane_tree(t)}")
     return CheckResult(name, True, f"{cfg.samples} sampled trees, q in 2,3,5")
 

@@ -78,12 +78,6 @@ def _exact_digits():
         set_limit(old)
 
 
-def _exact(value):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -105,7 +99,7 @@ def _handle_seq(args) -> Handled:
                 agree = False
                 detail = ",".join(f"{m}={v}" for m, v in values.items())
                 lines.append(f"{i}\t{detail}\tMISMATCH")
-        payload = {"command": "seq", "n": n, "methods": table, "agree": agree}
+        payload = {"n": n, "methods": table, "agree": agree}
         return (0 if agree else 1), payload, lines
     method = args.method
     if method == "stirling":
@@ -113,14 +107,14 @@ def _handle_seq(args) -> Handled:
     elif method == "egf":
         values = seq.census_by_egf(n)
     elif method == "census":
-        values = [seq.census_by_tree_enumeration(i, limit=cap) for i in range(1, n + 1)]
+        values = [game.census_second_player_wins(i, limit=cap) for i in range(1, n + 1)]
     elif method == "split":
         values = seq.census_by_split_recurrence(n)
     else:
         values = seq.census_by_complement_recurrence(n)
     with _exact_digits():
         lines = [f"{i}\t{v}" for i, v in enumerate(values, start=1)]
-    return 0, {"command": "seq", "n": n, "method": method, "values": values}, lines
+    return 0, {"n": n, "method": method, "values": values}, lines
 
 
 def _handle_stirling(args) -> Handled:
@@ -131,25 +125,25 @@ def _handle_stirling(args) -> Handled:
         value = seq.stirling_first(n, args.k)
         with _exact_digits():
             text = str(value)
-        return 0, {"command": "stirling", "n": n, "k": args.k, "value": value}, [text]
+        return 0, {"n": n, "k": args.k, "value": value}, [text]
     row = [seq.stirling_first(n, k) for k in range(n + 1)]
     with _exact_digits():
         lines = [f"{k}\t{v}" for k, v in enumerate(row)]
-    return 0, {"command": "stirling", "n": n, "row": row}, lines
+    return 0, {"n": n, "row": row}, lines
 
 
 def _handle_gamma(args) -> Handled:
     p = parse_permutation(args.perm)
     lt = tree.first_inversion_tree(p)
     text = format_labeled_tree(lt)
-    return 0, {"command": "gamma", "perm": format_permutation(p), "tree": text}, [text]
+    return 0, {"perm": format_permutation(p), "tree": text}, [text]
 
 
 def _handle_gamma_inv(args) -> Handled:
     lt = parse_labeled_tree(args.tree)
     p = tree.perm_from_increasing_tree(lt)
     text = format_permutation(p)
-    return 0, {"command": "gamma-inv", "tree": format_labeled_tree(lt), "perm": text}, [text]
+    return 0, {"tree": format_labeled_tree(lt), "perm": text}, [text]
 
 
 def _handle_label(args) -> Handled:
@@ -157,7 +151,6 @@ def _handle_label(args) -> Handled:
     labeled = tree.eastpush_labeling(t) if args.mode == "eastpush" else tree.westpop_labeling(t)
     text = format_labeled_tree(labeled)
     payload = {
-        "command": "label",
         "mode": args.mode,
         "tree": format_plane_tree(t),
         "labeled": text,
@@ -169,7 +162,6 @@ def _handle_avoid(args) -> Handled:
     p = parse_permutation(args.perm)
     result = avoids(p, int(args.pattern))
     payload = {
-        "command": "avoid",
         "perm": format_permutation(p),
         "pattern": int(args.pattern),
         "avoids": result,
@@ -183,18 +175,18 @@ def _handle_phi(args) -> Handled:
         polynomial = poly.game_polynomial_from_prunings(t)
     else:
         polynomial = poly.game_polynomial(t)
-    lines = [str(polynomial)]
+    q = None if args.eval is None else _fraction(args.eval)
     payload = {
-        "command": "phi",
         "tree": format_plane_tree(t),
         "via": args.via,
         "coefficients": list(polynomial.coeffs),
     }
-    if args.eval is not None:
-        q = _fraction(args.eval)
-        value = _exact(polynomial(q))
-        lines.append(f"value at q={q}: {value}")
-        payload["eval"] = {"q": str(q), "value": str(value)}
+    with _exact_digits():
+        lines = [str(polynomial)]
+        if q is not None:
+            value = polynomial(q)  # a Fraction, which prints as an int when it is one
+            lines.append(f"value at q={q}: {value}")
+            payload["eval"] = {"q": str(q), "value": str(value)}
     return 0, payload, lines
 
 
@@ -202,7 +194,7 @@ def _handle_prunings(args) -> Handled:
     t = parse_plane_tree(args.tree)
     lat = lattice.PruningLattice(t)
     lines = [f"count\t{len(lat)}"]
-    payload = {"command": "prunings", "tree": format_plane_tree(t), "count": len(lat)}
+    payload = {"tree": format_plane_tree(t), "count": len(lat)}
     if args.rgf:
         polynomial = lat.rank_polynomial()
         lines.append(f"rgf\t{polynomial}")
@@ -227,7 +219,6 @@ def _handle_winner(args) -> Handled:
         subtree = format_plane_tree(t[move - 1])
         lines.append(f"move {move} {subtree}")
     payload = {
-        "command": "winner",
         "tree": format_plane_tree(t),
         "winner": who.value,
         "move": move,
@@ -246,7 +237,6 @@ def _handle_tamari_fiber(args) -> Handled:
     ]
     lines.extend(f"member\t{format_permutation(p)}" for p in fib.members)
     payload = {
-        "command": "tamari-fiber",
         "tree": format_plane_tree(t),
         "top": format_permutation(fib.top),
         "bottom": format_permutation(fib.bottom),
@@ -260,37 +250,37 @@ def _handle_tamari_op(args, op) -> Handled:
     b = tamari.TamariElement.from_tree(parse_plane_tree(args.b))
     result = op(a, b)
     text = format_plane_tree(result.tree)
-    payload = {"command": args.command, "a": args.a, "b": args.b, "tree": text, "fif": list(result.fif)}
+    payload = {"a": args.a, "b": args.b, "tree": text, "fif": list(result.fif)}
     return 0, payload, [text]
 
 
 def _handle_tamari_verify(args) -> Handled:
     n = _positive("--n", args.n)
     rep = tamari.verify_congruence(n, limit=_env_cap(tamari.ENUMERATION_LIMIT))
-    payload = {"command": "tamari-verify", **rep.to_json()}
-    return (0 if rep.ok else 1), payload, rep.to_lines()
+    return (0 if rep.ok else 1), rep.to_json(), rep.to_lines()
 
 
 def _handle_euler(args) -> Handled:
     t = parse_plane_tree(args.tree)
-    chi_r = geometry.euler_characteristic_real(t)
-    chi_c = geometry.euler_characteristic_complex(t)
-    poincare = geometry.poincare_polynomial(t)
-    lines = [f"chi_real\t{chi_r}", f"chi_complex\t{chi_c}", f"poincare\t{poincare}"]
+    phi = poly.game_polynomial(t)
+    chi_r = geometry.euler_characteristic_real(phi)
+    chi_c = geometry.euler_characteristic_complex(phi)
+    poincare = geometry.poincare_polynomial(phi)
     payload = {
-        "command": "euler",
         "tree": format_plane_tree(t),
         "chi_real": chi_r,
         "chi_complex": chi_c,
         "poincare": list(poincare.coeffs),
     }
-    if args.q:
-        points = {}
-        for q in args.q:
-            value = geometry.point_count(t, q, strict=args.strict)
-            points[str(q)] = value
-            lines.append(f"points({q})\t{value}")
-        payload["points"] = points
+    with _exact_digits():  # argparse has read --q under the limit
+        lines = [f"chi_real\t{chi_r}", f"chi_complex\t{chi_c}", f"poincare\t{poincare}"]
+        if args.q:
+            points = {}
+            for q in args.q:
+                value = geometry.point_count(phi, q, strict=args.strict)
+                points[str(q)] = value
+                lines.append(f"points({q})\t{value}")
+            payload["points"] = points
     return 0, payload, lines
 
 
@@ -303,7 +293,6 @@ def _handle_montecarlo(args) -> Handled:
     error = abs(empirical - exact)
     lines = [f"empirical\t{empirical:.6f}", f"exact\t{exact:.6f}", f"abs_error\t{error:.6f}"]
     payload = {
-        "command": "montecarlo",
         "tree": format_plane_tree(t),
         "q": str(q),
         "trials": trials,
@@ -327,7 +316,7 @@ def _handle_verify(args) -> Handled:
     ok = all(r.passed for r in results)
     lines = render_lines(results)
     lines.append(f"VERIFY: {'PASS' if ok else 'FAIL'}")
-    payload = {"command": "verify", "ok": ok, "checks": results_json(results)}
+    payload = {"ok": ok, "checks": results_json(results)}
     return (0 if ok else 1), payload, lines
 
 
@@ -452,7 +441,7 @@ def main(argv=None) -> int:
         return 2
     if args.json:
         with _exact_digits():
-            print(json.dumps(payload))
+            print(json.dumps({"command": args.command, **payload}))
     else:
         for line in lines:
             print(line)

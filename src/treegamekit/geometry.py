@@ -1,22 +1,20 @@
-"""Cell-level geometry attached to a plane tree.
+"""Cell-level geometry of a plane tree, read off its game polynomial phi.
 
 A tree's pruning lattice doubles as the face poset of a cell complex:
-one cell per pruning, of dimension equal to the pruning's rank, with
-closure order the pruning order.  Counting points over a finite field
-with q elements then evaluates the game polynomial at q, the compactly
-supported real Euler characteristic is its value at -1 (0 or 1, matching
-the game winner), the complex one is its value at 1 (the number of
-cells), and even-degree Poincare polynomials come from substituting q^2.
+one cell per pruning, of dimension its rank, with closure order the
+pruning order (mask containment in ``PruningLattice``).  Counting points
+over a finite field with q elements then gives phi(q), the compactly
+supported real Euler characteristic is phi(-1) (0 or 1, matching the
+game winner), the complex one is phi(1) (the number of cells), and
+even-degree Poincare polynomials come from substituting q^2.  Each
+function takes phi, so a caller computes it once per tree.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
-from .lattice import PruningLattice
-from .poly import Poly, game_polynomial
-from .tree import PlaneTree
+from .poly import Poly
 
 
 def is_prime_power(q: int) -> bool:
@@ -32,8 +30,8 @@ def is_prime_power(q: int) -> bool:
     return False
 
 
-def point_count(t: PlaneTree, q: int, strict: bool = False) -> int:
-    """Evaluate the game polynomial at an integer q >= 2.  Only prime
+def point_count(phi: Poly, q: int, strict: bool = False) -> int:
+    """Evaluate the game polynomial ``phi`` at an integer q >= 2.  Only prime
     powers are honest field sizes: other q raise when ``strict`` and
     warn otherwise (the value is still the polynomial's)."""
     if not isinstance(q, int) or q < 2:
@@ -42,53 +40,20 @@ def point_count(t: PlaneTree, q: int, strict: bool = False) -> int:
         if strict:
             raise ValueError(f"{q} is not a prime power")
         warnings.warn(f"{q} is not a prime power; value is a polynomial evaluation, not a point count")
-    return game_polynomial(t)(q)
+    return phi(q)
 
 
-def euler_characteristic_real(t: PlaneTree) -> int:
+def euler_characteristic_real(phi: Poly) -> int:
     """Game polynomial at -1; always 0 or 1."""
-    return game_polynomial(t)(-1)
+    return phi(-1)
 
 
-def euler_characteristic_complex(t: PlaneTree) -> int:
+def euler_characteristic_complex(phi: Poly) -> int:
     """Game polynomial at 1, i.e. the total number of cells."""
-    return game_polynomial(t)(1)
+    return phi(1)
 
 
-def poincare_polynomial(t: PlaneTree) -> Poly:
+def poincare_polynomial(phi: Poly) -> Poly:
     """The game polynomial with q replaced by q^2 (cells contribute only
     in even degrees)."""
-    return game_polynomial(t).substitute_q_squared()
-
-
-@dataclass(frozen=True)
-class CellComplex:
-    """The complex itself, for trees small enough to materialize: cells
-    are prunings, dimension is rank, closure is the pruning order."""
-
-    base: PlaneTree
-    lattice: PruningLattice
-
-    @classmethod
-    def build(cls, t: PlaneTree) -> "CellComplex":
-        return cls(t, PruningLattice(t))
-
-    @property
-    def cells(self) -> list[int]:
-        return list(self.lattice.masks)
-
-    def dimension(self, cell: int) -> int:
-        return self.lattice.rank(cell)
-
-    def in_closure(self, inner: int, outer: int) -> bool:
-        return inner & ~outer == 0
-
-    def point_count(self, q: int) -> int:
-        """Direct cell count: sum q^dimension over cells."""
-        return sum(q ** self.dimension(c) for c in self.cells)
-
-    def euler_characteristic_real(self) -> int:
-        return sum(-1 if self.dimension(c) % 2 else 1 for c in self.cells)
-
-    def cell_count(self) -> int:
-        return len(self.lattice)
+    return phi.substitute_q_squared()

@@ -135,22 +135,6 @@ def check_first_inversions(t: Sequence[int]) -> tuple[int, ...]:
     return t
 
 
-def first_inversion_orbit(t: Sequence[int], i: int) -> tuple[int, ...]:
-    """The forward orbit i -> t(i) -> t(t(i)) .. ending at the sentinel
-    (the sentinel is included, the start is not)."""
-    n = len(t)
-    if not 2 <= i <= n + 1:
-        raise ValueError(f"argument {i} outside 2..{n + 1}")
-    out = []
-    j = i
-    while j != n + 1:
-        j = t[j - 2]
-        out.append(j)
-    if not out:
-        out.append(n + 1)
-    return tuple(out)
-
-
 def avoids(p: Sequence[int], pattern: int) -> bool:
     """True when no index triple of ``p`` carries the given pattern.
 
@@ -226,16 +210,6 @@ def placement_is_valid(p: Sequence[int], separators: Iterable[int]) -> bool:
         if block[0] != min(block):
             return False
     return True
-
-
-def first_inversion_closed(p: Sequence[int], separators: Iterable[int]) -> bool:
-    """Closure rule: each separator's first inversion is the sentinel or
-    itself a separator.  Equivalent to the block-minimum rule."""
-    p = check_fixes_one(p)
-    n = len(p)
-    t = first_inversions(p)
-    seps = set(separators)
-    return all(t[i - 2] == n + 1 or t[i - 2] in seps for i in seps)
 
 
 def separator_placements(p: Sequence[int]) -> Iterator[SeparatorPlacement]:

@@ -97,19 +97,11 @@ class Poly:
     def coefficient(self, d: int) -> int:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
-    def substitute_neg_q(self) -> "Poly":
-        return Poly(-c if d % 2 else c for d, c in enumerate(self.coeffs))
-
     def substitute_q_squared(self) -> "Poly":
         out = [0] * (2 * len(self.coeffs))
         for d, c in enumerate(self.coeffs):
             out[2 * d] = c
         return Poly(out)
-
-    def times_one_plus_q_power(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError(f"need k >= 0, got {k}")
-        return self * Poly(math.comb(k, j) for j in range(k + 1))
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r})"

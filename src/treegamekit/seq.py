@@ -12,15 +12,13 @@ here by
 * a complementary recurrence for the first-player counts.
 
 Exact rational series arithmetic (Fraction coefficients, truncated at a
-fixed order) lives here too, including log/exp inverses used to sanity
-check the series route.
+fixed order) lives here too, as far as the series route needs it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from . import game
 from .poly import Poly
@@ -30,12 +28,11 @@ from .poly import Poly
 _top_row: tuple[int, tuple[int, ...]] = (0, (1,))
 
 
-@lru_cache(maxsize=None)
 def _stirling_row(n: int) -> tuple[int, ...]:
     """Row n of c(n, k), built by c(m, k) = c(m-1, k-1) + (m-1) * c(m-1, k)
     upward from the highest row built so far, or from row 0 when n lies
     below it.  No call recurses, callers asking rows in ascending order
-    pay one step per entry, and only the rows asked for stay cached."""
+    pay one step per entry, and only the highest row is kept."""
     global _top_row
     m, row = _top_row
     if m > n:
@@ -107,24 +104,6 @@ def series_log_one_plus(f: list[Fraction], order: int) -> list[Fraction]:
     return total
 
 
-def series_exp(f: list[Fraction], order: int) -> list[Fraction]:
-    """exp(f) through the given order; f must have no constant term."""
-    if f and f[0] != 0:
-        raise ValueError("series must have zero constant term")
-    f = list(f[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(f))
-    total = [Fraction(0)] * (order + 1)
-    total[0] = Fraction(1)
-    power = list(f)
-    factorial = 1
-    for m in range(1, order + 1):
-        factorial *= m
-        c = Fraction(1, factorial)
-        for i in range(order + 1):
-            total[i] += c * power[i]
-        power = series_mul(power, f, order)
-    return total
-
-
 def census_by_egf(n_max: int) -> list[int]:
     """Coefficients n! [x^n] log(1 - log(1 - x)) for n = 1..n_max."""
     if n_max < 1:
@@ -140,11 +119,6 @@ def census_by_egf(n_max: int) -> list[int]:
             raise ArithmeticError(f"coefficient at x^{n} is not integral: {value}")
         out.append(int(value))
     return out
-
-
-def census_by_tree_enumeration(n: int, limit: int = game.CENSUS_LIMIT) -> int:
-    """Direct game census over all increasing trees (factorial cost)."""
-    return game.census_second_player_wins(n, limit=limit)
 
 
 def census_by_split_recurrence(n_max: int) -> list[int]:
@@ -185,7 +159,7 @@ def census_table(n_max: int, census_limit: int = game.CENSUS_LIMIT) -> dict[str,
     return {
         "stirling": [census_by_stirling_sum(n) for n in range(1, n_max + 1)],
         "egf": census_by_egf(n_max),
-        "census": [census_by_tree_enumeration(n, limit=census_limit) for n in range(1, n_max + 1)],
+        "census": [game.census_second_player_wins(n, limit=census_limit) for n in range(1, n_max + 1)],
         "split": census_by_split_recurrence(n_max),
         "complement": census_by_complement_recurrence(n_max),
     }

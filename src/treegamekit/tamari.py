@@ -68,10 +68,6 @@ class TamariElement:
     def from_tree(cls, tree: PlaneTree) -> "TamariElement":
         return cls(fif_from_tree(tree), tree)
 
-    @classmethod
-    def from_permutation(cls, p: Sequence[int]) -> "TamariElement":
-        return cls.from_fif(first_inversions(p))
-
     @property
     def size(self) -> int:
         return len(self.fif)

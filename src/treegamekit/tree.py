@@ -26,7 +26,6 @@ preorder by ``_index``; children tables are built by one loop over ids.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -208,22 +207,16 @@ def index_labeled_tree(lt: LabeledTree) -> tuple[TreeIndex, tuple[int, ...]]:
     return idx, tuple(node[0] for node in nodes)
 
 
-def _nest(children: Sequence[Sequence[int]], labels: Sequence[int] | None = None, root: int = 0):
-    """Nested tuples below ``root`` of a children table whose child ids all
-    exceed their parent's, built in one pass over descending ids; labelled
-    when ``labels`` is given."""
+def tree_of_index(children: Sequence[Sequence[int]], labels: Sequence[int] | None = None, root: int = 0):
+    """The tree below ``root`` of a children table, where ``children[u]``
+    lists u's children in order and every child id exceeds its parent's
+    (``TreeIndex.children`` is one), built in one pass over descending
+    ids: a plane tree, or a labelled one when ``labels`` is given."""
     built: list = [None] * len(children)
     for v in range(len(children) - 1, root - 1, -1):
         kids = tuple([built[c] for c in children[v]])
         built[v] = kids if labels is None else (labels[v], kids)
     return built[root]
-
-
-def tree_of_index(children: Sequence[Sequence[int]], v: int = 0) -> PlaneTree:
-    """The plane tree below ``v`` of a children table, where ``children[u]``
-    lists u's children in order and every child id exceeds its parent's
-    (``TreeIndex.children`` is one)."""
-    return _nest(children, None, v)
 
 
 def _children_table(parents: Sequence[int]) -> list[list[int]]:
@@ -253,7 +246,7 @@ def first_inversion_tree(p: Sequence[int]) -> LabeledTree:
     for i in range(2, n + 1):
         ti = t[i - 2]
         parents[p[i - 1] - 1] = p[ti - 1] - 1 if ti <= n else 0
-    return _nest(_children_table(parents[1:]), range(1, n + 1))
+    return tree_of_index(_children_table(parents[1:]), range(1, n + 1))
 
 
 def _increasing_postorder(lt: LabeledTree) -> list[int] | None:
@@ -315,7 +308,7 @@ def eastpush_labeling(t: PlaneTree) -> LabeledTree:
             labels[c] = counter
             counter += 1
             stack.append(c)
-    return _nest(idx.children, labels)
+    return tree_of_index(idx.children, labels)
 
 
 def westpop_labeling(t: PlaneTree) -> LabeledTree:
@@ -327,7 +320,7 @@ def westpop_labeling(t: PlaneTree) -> LabeledTree:
     '1(2(3) 4 5(6 7))'
     """
     idx = index_tree(t)
-    return _nest(idx.children, range(1, len(idx) + 1))
+    return tree_of_index(idx.children, range(1, len(idx) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +346,7 @@ def fif_from_tree(t: PlaneTree) -> tuple[int, ...]:
 
 def tree_from_first_inversions(t: Sequence[int]) -> PlaneTree:
     """Rebuild the plane tree whose postorder parent map is ``t``.  Each
-    parent's position exceeds its children's, so ids n - p suit ``_nest``.
+    parent's position exceeds its children's, so ids n - p suit ``tree_of_index``.
 
     >>> format_plane_tree(tree_from_first_inversions((3, 8, 8, 7, 7, 8, 8)))
     '((()) () (() ()))'
@@ -386,30 +379,17 @@ def canonicalize(t: PlaneTree) -> PlaneTree:
     return _fold(t, iter, _canonical_with_key)[0]
 
 
-def catalan(m: int) -> int:
-    if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
-    return math.comb(2 * m, m) // (m + 1)
-
-
-@lru_cache(maxsize=None)
-def _forests(total: int) -> tuple[PlaneTree, ...]:
-    if total == 0:
-        return ((),)
-    out = []
-    for k in range(1, total + 1):
-        for t in plane_trees(k):
-            for rest in _forests(total - k):
-                out.append((t, *rest))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def plane_trees(n: int) -> tuple[PlaneTree, ...]:
-    """All plane trees with ``n`` vertices (there are catalan(n - 1))."""
+    """All plane trees with ``n`` vertices (there are catalan(n - 1)), as the
+    forests of n - 1 vertices: a first tree of k, then a forest of the rest."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _forests(n - 1)
+    forests = [((),)]
+    for m in range(1, n):
+        forests.append(
+            tuple((t, *rest) for k in range(1, m + 1) for t in forests[k - 1] for rest in forests[m - k])
+        )
+    return forests[n - 1]
 
 
 @lru_cache(maxsize=None)
@@ -424,15 +404,6 @@ def parent_vectors(n: int) -> Iterator[tuple[int, ...]]:
     v - 1 is the parent of v): one vector per increasing tree.  Returns the
     bare ``itertools.product`` iterator, as the census sweeps all (n-1)!."""
     return itertools.product(*(range(i) for i in range(1, n)))
-
-
-def increasing_trees(n: int) -> Iterator[LabeledTree]:
-    """All increasing trees on labels 1..n (children ordered by label),
-    enumerated by choosing each label's parent among the smaller labels."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    for par in parent_vectors(n):
-        yield _nest(_children_table(par), range(1, n + 1))
 
 
 def increasing_tree_shapes(n: int) -> Iterator[PlaneTree]:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import contextlib
 import json
 import math
 import shutil
@@ -19,6 +20,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no digit limit"
+)
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestSeq:
@@ -81,9 +97,7 @@ class TestStirling:
         assert code == 0
         assert out.strip() == "225"
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no digit limit"
-    )
+    @needs_digit_limit
     def test_values_past_the_digit_limit(self, capsys):
         # c(n, 1) = (n - 1)!, here 4,431 digits: past the 4,300 digits the
         # interpreter converts by default, which guards only input parsing
@@ -210,6 +224,21 @@ class TestPhi:
         blob = json.loads(out)
         assert blob["coefficients"] == [1, 2, 3, 3, 1]
 
+    @needs_digit_limit
+    def test_eval_past_the_digit_limit(self, capsys):
+        # phi = 1 + q + q^2 at a 2,200-digit q has 4,400 digits: --eval is
+        # read under the interpreter's 4,300-digit limit, the value written past it
+        q = int("7" * 2200)
+        code, out, err = run(capsys, "phi", "--tree", "((()))", f"--eval={q}")
+        assert (code, err) == (0, "")
+        code, blob, err = run(capsys, "--json", "phi", "--tree", "((()))", f"--eval={q}")
+        assert (code, err) == (0, "")
+        with no_digit_limit():
+            want = str(1 + q + q * q)
+        assert len(want) > sys.get_int_max_str_digits()
+        assert out.splitlines() == ["1 + q + q^2", f"value at q={q}: {want}"]
+        assert json.loads(blob)["eval"] == {"q": str(q), "value": want}
+
 
 class TestPrunings:
     def test_count_and_rgf(self, capsys):
@@ -331,6 +360,24 @@ class TestEuler:
         out = capsys.readouterr().out
         assert code == 0
         assert "points(6)" in out
+
+    @needs_digit_limit
+    def test_points_past_the_digit_limit(self, capsys):
+        # as for phi --eval: 1 + q + q^2 at a 2,200-digit q = 7 * 11..1,
+        # which is no prime power, so each run also warns
+        q = int("7" * 2200)
+        with pytest.warns(UserWarning):
+            code, out, err = run(capsys, "euler", "--tree", "((()))", "--q", str(q))
+        assert (code, err) == (0, "")
+        with pytest.warns(UserWarning):
+            code, blob, err = run(capsys, "--json", "euler", "--tree", "((()))", "--q", str(q))
+        assert (code, err) == (0, "")
+        with no_digit_limit():
+            want = str(1 + q + q * q)
+            points = json.loads(blob)["points"]
+        assert len(want) > sys.get_int_max_str_digits()
+        assert out.splitlines()[-1] == f"points({q})\t{want}"
+        assert points == {str(q): 1 + q + q * q}
 
 
 class TestMonteCarlo:

@@ -6,7 +6,6 @@ import pytest
 
 from treegamekit.game import Winner, winner
 from treegamekit.geometry import (
-    CellComplex,
     euler_characteristic_complex,
     euler_characteristic_real,
     is_prime_power,
@@ -18,6 +17,7 @@ from treegamekit.poly import Poly, game_polynomial
 from treegamekit.tree import parse_plane_tree, plane_trees
 
 WORKED = parse_plane_tree("(() (() ()))")
+WORKED_PHI = game_polynomial(WORKED)
 
 
 class TestPrimePowers:
@@ -33,103 +33,108 @@ class TestPrimePowers:
 
 class TestPointCounts:
     def test_worked_example(self):
-        assert point_count(WORKED, 2) == game_polynomial(WORKED)(2)
+        assert point_count(WORKED_PHI, 2) == WORKED_PHI(2) == 57
 
     def test_seven_vertex_tree_value(self):
         t1 = parse_plane_tree("(() (() ((()))))")
-        assert point_count(t1, 2) == 273
+        assert point_count(game_polynomial(t1), 2) == 273
 
     def test_prime_power_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            point_count(WORKED, 4)
-            point_count(WORKED, 5)
+            point_count(WORKED_PHI, 4)
+            point_count(WORKED_PHI, 5)
 
     def test_non_prime_power_warns(self):
         with pytest.warns(UserWarning):
-            point_count(WORKED, 6)
+            point_count(WORKED_PHI, 6)
 
     def test_non_prime_power_strict_raises(self):
         with pytest.raises(ValueError):
-            point_count(WORKED, 6, strict=True)
+            point_count(WORKED_PHI, 6, strict=True)
 
     def test_rejects_small_or_non_integer(self):
         with pytest.raises(ValueError):
-            point_count(WORKED, 1)
+            point_count(WORKED_PHI, 1)
         with pytest.raises(ValueError):
-            point_count(WORKED, 2.5)
+            point_count(WORKED_PHI, 2.5)
 
 
 class TestCharacteristics:
     def test_real_is_zero_or_one(self):
         for t in plane_trees(7):
-            assert euler_characteristic_real(t) in (0, 1)
+            assert euler_characteristic_real(game_polynomial(t)) in (0, 1)
 
     def test_real_matches_winner(self):
         for t in plane_trees(7):
             second_wins = winner(t) is Winner.SECOND
-            assert (euler_characteristic_real(t) == 1) == second_wins
+            assert (euler_characteristic_real(game_polynomial(t)) == 1) == second_wins
 
     def test_real_matches_cell_count_parity(self):
         for t in plane_trees(7):
             cells = len(PruningLattice(t))
-            assert euler_characteristic_real(t) % 2 == cells % 2
-            assert euler_characteristic_real(t) == game_polynomial(t)(-1)
+            assert euler_characteristic_real(game_polynomial(t)) % 2 == cells % 2
+            assert euler_characteristic_real(game_polynomial(t)) == game_polynomial(t)(-1)
 
     def test_complex_counts_cells(self):
         for t in plane_trees(7):
-            assert euler_characteristic_complex(t) == len(PruningLattice(t))
+            assert euler_characteristic_complex(game_polynomial(t)) == len(PruningLattice(t))
 
     def test_examples(self):
-        assert euler_characteristic_real(()) == 1
-        assert euler_characteristic_real(((),)) == 0
-        assert euler_characteristic_complex(WORKED) == 10
+        assert euler_characteristic_real(game_polynomial(())) == 1
+        assert euler_characteristic_real(game_polynomial(((),))) == 0
+        assert euler_characteristic_complex(WORKED_PHI) == 10
 
 
 class TestPoincare:
     def test_even_degrees_only(self):
         for t in plane_trees(6):
-            p = poincare_polynomial(t)
+            p = poincare_polynomial(game_polynomial(t))
             for d in range(p.degree + 1):
                 if d % 2 == 1:
                     assert p.coefficient(d) == 0
 
     def test_worked_example(self):
-        assert poincare_polynomial(((),)) == Poly((1, 0, 1))
+        assert poincare_polynomial(game_polynomial(((),))) == Poly((1, 0, 1))
 
     def test_value_at_one_counts_cells(self):
         for t in plane_trees(6):
-            assert poincare_polynomial(t)(1) == len(PruningLattice(t))
+            assert poincare_polynomial(game_polynomial(t))(1) == len(PruningLattice(t))
 
 
 class TestCellComplex:
+    # the complex is the pruning lattice read as cells: one cell per
+    # pruning mask, of dimension its rank, closure being mask containment
+
     def test_build_worked_example(self):
-        cx = CellComplex.build(WORKED)
-        assert cx.cell_count() == 10
-        assert sorted(cx.dimension(c) for c in cx.cells) == sorted(
-            m.bit_count() - 1 for m in PruningLattice(WORKED)
-        )
+        lat = PruningLattice(WORKED)
+        assert len(lat) == euler_characteristic_complex(WORKED_PHI) == 10
+        assert lat.rank_histogram() == list(WORKED_PHI.coeffs)
 
     def test_closure_is_containment(self):
-        cx = CellComplex.build(WORKED)
-        cells = cx.cells
-        for a in cells:
-            for b in cells:
-                assert cx.in_closure(a, b) == (a & b == a)
+        lat = PruningLattice(WORKED)
+        for a in lat:
+            above, stack = {a}, [a]
+            while stack:
+                for b in lat.covers_above(stack.pop()):
+                    if b not in above:
+                        above.add(b)
+                        stack.append(b)
+            assert above == {b for b in lat if a & ~b == 0}
 
     def test_direct_point_count_matches_polynomial(self):
         for t in plane_trees(6):
-            cx = CellComplex.build(t)
+            lat = PruningLattice(t)
             for q in (2, 3, 5):
-                assert cx.point_count(q) == point_count(t, q)
+                assert sum(q ** lat.rank(c) for c in lat) == point_count(game_polynomial(t), q)
 
     def test_direct_euler_matches_polynomial(self):
         for t in plane_trees(6):
-            cx = CellComplex.build(t)
-            assert cx.euler_characteristic_real() == (
-                euler_characteristic_real(t)
+            lat = PruningLattice(t)
+            assert sum(-1 if lat.rank(c) % 2 else 1 for c in lat) == (
+                euler_characteristic_real(game_polynomial(t))
             )
 
     def test_top_cell_dimension(self):
-        cx = CellComplex.build(WORKED)
-        assert max(cx.dimension(c) for c in cx.cells) == 4
+        lat = PruningLattice(WORKED)
+        assert max(lat.rank(c) for c in lat) == lat.rank(lat.top) == 4

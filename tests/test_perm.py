@@ -11,10 +11,9 @@ from treegamekit.perm import (
     SeparatorPlacement,
     avoids,
     check_first_inversions,
+    check_fixes_one,
     check_permutation,
     enumerate_fixing_one,
-    first_inversion_closed,
-    first_inversion_orbit,
     first_inversions,
     format_permutation,
     inversions,
@@ -25,6 +24,32 @@ from treegamekit.perm import (
     weak_leq,
 )
 from treegamekit.seq import census_by_stirling_sum
+
+
+def first_inversion_orbit(t, i):
+    """The forward orbit i -> t(i) -> t(t(i)) .. ending at the sentinel
+    (the sentinel is included, the start is not)."""
+    n = len(t)
+    if not 2 <= i <= n + 1:
+        raise ValueError(f"argument {i} outside 2..{n + 1}")
+    out = []
+    j = i
+    while j != n + 1:
+        j = t[j - 2]
+        out.append(j)
+    if not out:
+        out.append(n + 1)
+    return tuple(out)
+
+
+def first_inversion_closed(p, separators):
+    """Closure rule: each separator's first inversion is the sentinel or
+    itself a separator.  Equivalent to the block-minimum rule."""
+    p = check_fixes_one(p)
+    n = len(p)
+    t = first_inversions(p)
+    seps = set(separators)
+    return all(t[i - 2] == n + 1 or t[i - 2] in seps for i in seps)
 
 
 def brute_inversions(p):

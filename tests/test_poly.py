@@ -85,21 +85,8 @@ class TestPolyArithmetic:
 
 
 class TestSubstitutions:
-    def test_neg_q(self):
-        assert Poly((1, 2, 3)).substitute_neg_q() == Poly((1, -2, 3))
-        assert ZERO.substitute_neg_q() == ZERO
-
     def test_q_squared(self):
         assert Poly((1, 2, 3)).substitute_q_squared() == Poly((1, 0, 2, 0, 3))
-
-    def test_times_one_plus_q_power(self):
-        assert ONE.times_one_plus_q_power(2) == Poly((1, 2, 1))
-        assert Q.times_one_plus_q_power(1) == Poly((0, 1, 1))
-        assert ONE.times_one_plus_q_power(0) == ONE
-
-    @given(coeff_lists, st.integers(-5, 5))
-    def test_neg_q_agrees_with_eval(self, a, x):
-        assert Poly(a).substitute_neg_q()(x) == Poly(a)(-x)
 
     @given(coeff_lists, st.integers(-5, 5))
     def test_q_squared_agrees_with_eval(self, a, x):

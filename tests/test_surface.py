@@ -1,7 +1,9 @@
 """The package's public names, pinned so that deleting code cannot drop
-one, and the package's freedom from recursion."""
+one; the package's freedom from recursion; and that it holds no code
+that nothing reaches."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import treegamekit
@@ -58,9 +60,7 @@ def test_all_is_pinned_and_resolves():
 
 
 # Functions allowed to call themselves, each with the reason.
-RECURSION_ALLOWED = {
-    "_forests": "recurses on the vertex count n, not on tree depth",
-}
+RECURSION_ALLOWED: dict[str, str] = {}
 
 
 def test_no_function_calls_itself():
@@ -78,4 +78,39 @@ def test_no_function_calls_itself():
                     name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
                     if name == fn.name and fn.name not in RECURSION_ALLOWED:
                         found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert found == []
+
+
+# Module-level functions and classes that nothing in the package uses and
+# that are not exported, each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    "fiber_size": "the hook-length count of a fiber, library API beside fiber",
+    "is_increasing": "the predicate perm_from_increasing_tree checks, library API",
+}
+
+
+def _names(tree):
+    """Every name used in ``tree``, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_definition_is_reached():
+    # a module-level def or class must be named somewhere in the package
+    # outside its own body, or be in __all__; code that only tests reach
+    # belongs in the tests
+    package = Path(treegamekit.__file__).parent
+    modules = [ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))]
+    uses = Counter(name for module in modules for name in _names(module))
+    found = []
+    for module in modules:
+        for defn in module.body:
+            if not isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            reached = uses[defn.name] > Counter(_names(defn))[defn.name]
+            if not reached and defn.name not in treegamekit.__all__ and defn.name not in UNREFERENCED_ALLOWED:
+                found.append(defn.name)
     assert found == []

@@ -10,7 +10,6 @@ from treegamekit import tamari
 from treegamekit.perm import (
     avoids,
     enumerate_fixing_one,
-    first_inversion_orbit,
     first_inversions,
     inversions,
     weak_leq,
@@ -30,7 +29,6 @@ from treegamekit.tamari import (
     verify_congruence,
 )
 from treegamekit.tree import (
-    catalan,
     fif_from_tree,
     first_inversion_tree,
     parse_plane_tree,
@@ -41,6 +39,19 @@ from treegamekit.tree import (
 )
 
 WORKED_SHAPE = parse_plane_tree("((()) () (()()))")
+
+
+def catalan(m):
+    return math.comb(2 * m, m) // (m + 1)
+
+
+def forward_orbit(t, i):
+    """i -> t(i) -> t(t(i)) .. up to the sentinel len(t) + 1, i left out."""
+    out = []
+    while i != len(t) + 1:
+        i = t[i - 2]
+        out.append(i)
+    return out
 
 
 def quotient_oracle(n):
@@ -175,7 +186,7 @@ def _passed(report):
 
 class TestElements:
     def test_constructors_agree(self):
-        a = TamariElement.from_permutation((1, 6, 2, 3, 5, 7, 4))
+        a = TamariElement.from_fif(first_inversions((1, 6, 2, 3, 5, 7, 4)))
         b = TamariElement.from_tree(WORKED_SHAPE)
         c = TamariElement.from_fif((3, 8, 8, 7, 7, 8, 8))
         assert a == b == c
@@ -190,7 +201,7 @@ class TestElements:
     def test_element_count_is_catalan(self):
         for n in range(1, 7):
             elements = {
-                TamariElement.from_permutation(p)
+                TamariElement.from_fif(first_inversions(p))
                 for p in enumerate_fixing_one(n)
             }
             assert len(elements) == catalan(n - 1)
@@ -205,7 +216,7 @@ class TestJoinMeet:
                 path = (path,)
             top = TamariElement.from_tree(path)
             for p in enumerate_fixing_one(n):
-                x = TamariElement.from_permutation(p)
+                x = TamariElement.from_fif(first_inversions(p))
                 assert tamari_leq(star, x)
                 assert tamari_leq(x, top)
                 assert tamari_join(star, x) == x
@@ -253,7 +264,7 @@ class TestJoinMeet:
         for n in range(1, 8):
             elements = [TamariElement.from_tree(t) for t in plane_trees(n)]
             orbits = {
-                e.fif: [set(first_inversion_orbit(e.fif, i)) for i in range(2, n + 1)]
+                e.fif: [set(forward_orbit(e.fif, i)) for i in range(2, n + 1)]
                 for e in elements
             }
             for a, b in itertools.product(elements, repeat=2):

@@ -1,5 +1,6 @@
 """Tests for tree grammars, the bijection, and the stack labelings."""
 
+import functools
 import itertools
 import math
 import random
@@ -16,14 +17,12 @@ from treegamekit.perm import (
 )
 from treegamekit.tree import (
     canonicalize,
-    catalan,
     eastpush_labeling,
     fif_from_tree,
     first_inversion_tree,
     format_labeled_tree,
     format_plane_tree,
     increasing_tree_shapes,
-    increasing_trees,
     index_labeled_tree,
     index_tree,
     is_increasing,
@@ -42,6 +41,41 @@ from treegamekit.tree import (
 
 WORKED_PERM = (1, 6, 2, 3, 5, 7, 4)
 WORKED_SHAPE = (((),), (), ((), ()))
+
+
+def catalan(m):
+    if m < 0:
+        raise ValueError(f"need m >= 0, got {m}")
+    return math.comb(2 * m, m) // (m + 1)
+
+
+def increasing_trees(n):
+    """All increasing trees on labels 1..n (children ordered by label),
+    enumerated by choosing each label's parent among the smaller labels."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    for parents in itertools.product(*(range(1, v) for v in range(2, n + 1))):
+        kids = [[] for _ in range(n + 1)]
+        for v, par in enumerate(parents, start=2):
+            kids[par].append(v)
+        yield tree_of_index(kids, range(n + 1), root=1)
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_forests(total):
+    """Plane forests of ``total`` vertices by recursion on the size: a
+    first tree of k vertices (the forest of its root's k - 1 descendants),
+    then a forest of the other total - k.  ``plane_trees`` lists the same
+    forests in the same order bottom up."""
+    if total == 0:
+        return ((),)
+    return tuple(
+        (t, *rest)
+        for k in range(1, total + 1)
+        for t in recursive_forests(k - 1)
+        for rest in recursive_forests(total - k)
+    )
+
 
 plane_tree_st = st.recursive(
     st.just(()),
@@ -418,6 +452,19 @@ class TestEnumerations:
             ts = plane_trees(n)
             assert len(set(ts)) == len(ts)
             assert all(vertex_count(t) == n for t in ts)
+
+    def test_plane_tree_order_matches_recursion(self):
+        for n in range(1, 10):
+            assert plane_trees(n) == recursive_forests(n - 1)
+
+    def test_rooted_trees_unchanged(self):
+        # one canonical form per shape, ordered by text length, then text
+        def key(t):
+            return len(format_plane_tree(t)), format_plane_tree(t)
+
+        for n in range(1, 11):
+            shapes = {canonicalize(t) for t in recursive_forests(n - 1)}
+            assert rooted_trees(n) == tuple(sorted(shapes, key=key))
 
     def test_rooted_tree_counts(self):
         got = [len(rooted_trees(n)) for n in range(1, 11)]
