@@ -8,14 +8,7 @@ stops at 10; the closed-form columns go as far as you like.
 import argparse
 import sys
 
-from treegamekit.game import census_second_player_wins
-from treegamekit.seq import (
-    METHODS,
-    census_by_complement_recurrence,
-    census_by_egf,
-    census_by_split_recurrence,
-    census_by_stirling_sum,
-)
+from treegamekit.seq import METHODS
 
 
 def main() -> int:
@@ -32,19 +25,13 @@ def main() -> int:
     if n_max < 1:
         parser.error("--n-max must be >= 1")
 
-    columns = {
-        "stirling": [census_by_stirling_sum(n) for n in range(1, n_max + 1)],
-        "egf": census_by_egf(n_max),
-        "split": census_by_split_recurrence(n_max),
-        "complement": census_by_complement_recurrence(n_max),
-    }
     census_rows = min(n_max, args.census_limit)
-    columns["census"] = [
-        census_second_player_wins(n, limit=args.census_limit)
-        for n in range(1, census_rows + 1)
-    ]
+    columns = {
+        method: route(census_rows if method == "census" else n_max, args.census_limit)
+        for method, route in METHODS.items()
+    }
 
-    header = ["n"] + [m for m in METHODS if m in columns] + ["agree"]
+    header = ["n", *METHODS, "agree"]
     print("\t".join(header))
     disagreements = 0
     for n in range(1, n_max + 1):

@@ -80,6 +80,9 @@ def _exact_digits():
 
 # ---------------------------------------------------------------------------
 # handlers
+#
+# Each returns (exit code, JSON payload, text lines).  A payload's echo of
+# the input tree is built only under --json, as text mode never prints it.
 
 
 def _handle_seq(args) -> Handled:
@@ -101,20 +104,10 @@ def _handle_seq(args) -> Handled:
                 lines.append(f"{i}\t{detail}\tMISMATCH")
         payload = {"n": n, "methods": table, "agree": agree}
         return (0 if agree else 1), payload, lines
-    method = args.method
-    if method == "stirling":
-        values = [seq.census_by_stirling_sum(i) for i in range(1, n + 1)]
-    elif method == "egf":
-        values = seq.census_by_egf(n)
-    elif method == "census":
-        values = [game.census_second_player_wins(i, limit=cap) for i in range(1, n + 1)]
-    elif method == "split":
-        values = seq.census_by_split_recurrence(n)
-    else:
-        values = seq.census_by_complement_recurrence(n)
+    values = seq.METHODS[args.method](n, cap)
     with _exact_digits():
         lines = [f"{i}\t{v}" for i, v in enumerate(values, start=1)]
-    return 0, {"n": n, "method": method, "values": values}, lines
+    return 0, {"n": n, "method": args.method, "values": values}, lines
 
 
 def _handle_stirling(args) -> Handled:
@@ -143,7 +136,7 @@ def _handle_gamma_inv(args) -> Handled:
     lt = parse_labeled_tree(args.tree)
     p = tree.perm_from_increasing_tree(lt)
     text = format_permutation(p)
-    return 0, {"tree": format_labeled_tree(lt), "perm": text}, [text]
+    return 0, {"tree": format_labeled_tree(lt) if args.json else None, "perm": text}, [text]
 
 
 def _handle_label(args) -> Handled:
@@ -152,7 +145,7 @@ def _handle_label(args) -> Handled:
     text = format_labeled_tree(labeled)
     payload = {
         "mode": args.mode,
-        "tree": format_plane_tree(t),
+        "tree": format_plane_tree(t) if args.json else None,
         "labeled": text,
     }
     return 0, payload, [text]
@@ -177,7 +170,7 @@ def _handle_phi(args) -> Handled:
         polynomial = poly.game_polynomial(t)
     q = None if args.eval is None else _fraction(args.eval)
     payload = {
-        "tree": format_plane_tree(t),
+        "tree": format_plane_tree(t) if args.json else None,
         "via": args.via,
         "coefficients": list(polynomial.coeffs),
     }
@@ -194,7 +187,7 @@ def _handle_prunings(args) -> Handled:
     t = parse_plane_tree(args.tree)
     lat = lattice.PruningLattice(t)
     lines = [f"count\t{len(lat)}"]
-    payload = {"tree": format_plane_tree(t), "count": len(lat)}
+    payload = {"tree": format_plane_tree(t) if args.json else None, "count": len(lat)}
     if args.rgf:
         polynomial = lat.rank_polynomial()
         lines.append(f"rgf\t{polynomial}")
@@ -219,7 +212,7 @@ def _handle_winner(args) -> Handled:
         subtree = format_plane_tree(t[move - 1])
         lines.append(f"move {move} {subtree}")
     payload = {
-        "tree": format_plane_tree(t),
+        "tree": format_plane_tree(t) if args.json else None,
         "winner": who.value,
         "move": move,
         "subtree": subtree,
@@ -237,7 +230,7 @@ def _handle_tamari_fiber(args) -> Handled:
     ]
     lines.extend(f"member\t{format_permutation(p)}" for p in fib.members)
     payload = {
-        "tree": format_plane_tree(t),
+        "tree": format_plane_tree(t) if args.json else None,
         "top": format_permutation(fib.top),
         "bottom": format_permutation(fib.bottom),
         "members": [format_permutation(p) for p in fib.members],
@@ -267,7 +260,7 @@ def _handle_euler(args) -> Handled:
     chi_c = geometry.euler_characteristic_complex(phi)
     poincare = geometry.poincare_polynomial(phi)
     payload = {
-        "tree": format_plane_tree(t),
+        "tree": format_plane_tree(t) if args.json else None,
         "chi_real": chi_r,
         "chi_complex": chi_c,
         "poincare": list(poincare.coeffs),
@@ -293,7 +286,7 @@ def _handle_montecarlo(args) -> Handled:
     error = abs(empirical - exact)
     lines = [f"empirical\t{empirical:.6f}", f"exact\t{exact:.6f}", f"abs_error\t{error:.6f}"]
     payload = {
-        "tree": format_plane_tree(t),
+        "tree": format_plane_tree(t) if args.json else None,
         "q": str(q),
         "trials": trials,
         "seed": args.seed,

@@ -17,30 +17,83 @@ import warnings
 from .poly import Poly
 
 
-def is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    for p in range(2, q + 1):
-        if p * p > q:
-            return True  # q itself is prime
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
+# Miller-Rabin to the prime bases 2..41 is exact below MR_PROVEN_BELOW
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017); past it, passing every base proves nothing.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def point_count(phi: Poly, q: int, strict: bool = False) -> int:
     """Evaluate the game polynomial ``phi`` at an integer q >= 2.  Only prime
-    powers are honest field sizes: other q raise when ``strict`` and
-    warn otherwise (the value is still the polynomial's)."""
+    powers are honest field sizes: other q, or q that ``is_prime_power`` cannot
+    certify, raise when ``strict`` and warn otherwise (the value is phi(q))."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field size must be an integer >= 2, got {q}")
-    if not is_prime_power(q):
+    certified = is_prime_power(q)
+    if certified is None:
+        if strict:
+            raise ValueError(f"cannot certify that {q} is a prime power: "
+                             f"the primality test is proven only below {MR_PROVEN_BELOW}")
+        warnings.warn(f"{q} could not be certified as a prime power; value is a polynomial evaluation")
+    elif not certified:
         if strict:
             raise ValueError(f"{q} is not a prime power")
         warnings.warn(f"{q} is not a prime power; value is a polynomial evaluation, not a point count")
     return phi(q)
+
+
+def is_prime_power(q: int) -> bool | None:
+    """Whether q is p^k for a prime p; None when that cannot be certified.
+    Once the primes to 41 are divided out, q is r^k for the largest k with
+    an exact integer root r, and Miller-Rabin tells whether r is prime: to
+    every base in ``MR_BASES`` below ``MR_PROVEN_BELOW``, and past it to
+    base 2 alone, since there passing proves nothing and failing still does.
+
+    >>> is_prime_power(1_000_000_000_000_000_003), is_prime_power(12), is_prime_power(2**89 - 1)
+    (True, False, None)
+    """
+    if q < 2:
+        return False
+    for b in MR_BASES:
+        if q % b == 0:
+            while q % b == 0:
+                q //= b
+            return q == 1
+    root = q
+    for k in range(q.bit_length() // 5, 1, -1):  # prime factors now exceed 2^5, so r^k = q needs 5k < log2 q
+        r = _integer_root(q, k)
+        if r**k == q:
+            root = r
+            break
+    if root < MR_PROVEN_BELOW:
+        return _passes_miller_rabin(root, MR_BASES)
+    return None if _passes_miller_rabin(root, MR_BASES[:1]) else False
+
+
+def _integer_root(q: int, k: int) -> int:
+    """The integer part of q^(1/k), by bisection in integers."""
+    lo, hi = 1, 1 << -(-q.bit_length() // k)  # lo^k <= q < hi^k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= q else (lo, mid)
+    return lo
+
+
+def _passes_miller_rabin(r: int, bases: tuple[int, ...]) -> bool:
+    """False when one of ``bases`` witnesses that r, odd and over 41, is composite."""
+    s = ((r - 1) & (1 - r)).bit_length() - 1  # r - 1 = d * 2^s with d odd
+    for a in bases:
+        x = pow(a, (r - 1) >> s, r)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == r - 1:
+                break
+            x = x * x % r
+        else:
+            return False
+    return True
 
 
 def euler_characteristic_real(phi: Poly) -> int:

@@ -18,14 +18,16 @@ Separator placements split a permutation into consecutive blocks.  A
 placement is valid when every block starts with its minimum, it is
 signed by parity of the separator count, and the signed totals over all
 placements of all permutations fixing 1 reproduce the census numbers of
-``seq``.
+``seq``.  They are generated directly, by one left-to-right scan in
+which each position starts a new block or joins the open block when its
+value exceeds the block's first.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -196,30 +198,20 @@ class SeparatorPlacement:
         return len(self.separators)
 
 
-def placement_is_valid(p: Sequence[int], separators: Iterable[int]) -> bool:
-    """Block-minimum rule: each block's first value is the block minimum."""
-    p = check_fixes_one(p)
-    n = len(p)
-    cuts = sorted(set(separators))
-    if any(not 2 <= s <= n for s in cuts):
-        raise ValueError(f"separators must lie in 2..{n}, got {cuts}")
-    starts = [1, *cuts]
-    ends = [*(c - 1 for c in cuts), n]
-    for a, b in zip(starts, ends):
-        block = p[a - 1 : b]
-        if block[0] != min(block):
-            return False
-    return True
-
-
 def separator_placements(p: Sequence[int]) -> Iterator[SeparatorPlacement]:
-    """All valid separator placements of ``p``, by size then position."""
+    """All valid separator placements of ``p``, by size then position.
+
+    The scan over positions 2..n carries each partial placement's open
+    block's first value, so a position joins that block only when its value
+    is larger (the block-minimum rule).  It holds all of p's placements, to
+    sort them, before it yields the first."""
     p = check_fixes_one(p)
-    n = len(p)
-    for r in range(n):
-        for combo in itertools.combinations(range(2, n + 1), r):
-            if placement_is_valid(p, combo):
-                yield SeparatorPlacement(p, frozenset(combo))
+    partial: list[tuple[tuple[int, ...], int]] = [((), p[0])]  # (cuts, open block's first value)
+    for i in range(2, len(p) + 1):
+        v = p[i - 1]
+        partial = [(cuts + (i,), v) for cuts, _ in partial] + [pair for pair in partial if v > pair[1]]
+    for cuts in sorted((cuts for cuts, _ in partial), key=lambda cuts: (len(cuts), cuts)):
+        yield SeparatorPlacement(p, frozenset(cuts))
 
 
 def signed_placement_total(n: int) -> int:

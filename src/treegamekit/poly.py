@@ -22,7 +22,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable
 
 from .tree import PlaneTree, _fold, index_tree, vertex_count
@@ -214,8 +213,7 @@ def event_frequency(t: PlaneTree, q, trials: int = 100_000, seed: int = 0) -> fl
     visits the child.  The event holds when no visited child's own event
     holds, evaluated bottom up over the visited set.
     """
-    heads = -Fraction(q) if isinstance(q, str) else -q
-    heads = float(heads)
+    heads = float(-q)
     if not 0.0 <= heads <= 1.0:
         raise ValueError(f"q must lie in [-1, 0], got {q}")
     if trials < 1:

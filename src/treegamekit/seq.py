@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from . import game
 from .poly import Poly
@@ -151,18 +152,22 @@ def census_by_complement_recurrence(n_max: int) -> list[int]:
     return out
 
 
-METHODS = ("stirling", "egf", "census", "split", "complement")
+# each route by name, as (n_max, census_limit) -> values for n = 1..n_max;
+# only the census route reads its limit
+METHODS: dict[str, Callable[[int, int], list[int]]] = {
+    "stirling": lambda n_max, census_limit: [census_by_stirling_sum(n) for n in range(1, n_max + 1)],
+    "egf": lambda n_max, census_limit: census_by_egf(n_max),
+    "census": lambda n_max, census_limit: [
+        game.census_second_player_wins(n, limit=census_limit) for n in range(1, n_max + 1)
+    ],
+    "split": lambda n_max, census_limit: census_by_split_recurrence(n_max),
+    "complement": lambda n_max, census_limit: census_by_complement_recurrence(n_max),
+}
 
 
 def census_table(n_max: int, census_limit: int = game.CENSUS_LIMIT) -> dict[str, list[int]]:
     """Values 1..n_max for every method, keyed by method name."""
-    return {
-        "stirling": [census_by_stirling_sum(n) for n in range(1, n_max + 1)],
-        "egf": census_by_egf(n_max),
-        "census": [game.census_second_player_wins(n, limit=census_limit) for n in range(1, n_max + 1)],
-        "split": census_by_split_recurrence(n_max),
-        "complement": census_by_complement_recurrence(n_max),
-    }
+    return {name: route(n_max, census_limit) for name, route in METHODS.items()}
 
 
 def separator_weight_polynomial(n: int) -> Poly:

@@ -29,7 +29,6 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -207,16 +206,16 @@ def index_labeled_tree(lt: LabeledTree) -> tuple[TreeIndex, tuple[int, ...]]:
     return idx, tuple(node[0] for node in nodes)
 
 
-def tree_of_index(children: Sequence[Sequence[int]], labels: Sequence[int] | None = None, root: int = 0):
-    """The tree below ``root`` of a children table, where ``children[u]``
+def tree_of_index(children: Sequence[Sequence[int]], labels: Sequence[int] | None = None):
+    """The tree below vertex 0 of a children table, where ``children[u]``
     lists u's children in order and every child id exceeds its parent's
     (``TreeIndex.children`` is one), built in one pass over descending
     ids: a plane tree, or a labelled one when ``labels`` is given."""
     built: list = [None] * len(children)
-    for v in range(len(children) - 1, root - 1, -1):
+    for v in range(len(children) - 1, -1, -1):
         kids = tuple([built[c] for c in children[v]])
         built[v] = kids if labels is None else (labels[v], kids)
-    return built[root]
+    return built[0]
 
 
 def _children_table(parents: Sequence[int]) -> list[list[int]]:
@@ -392,7 +391,6 @@ def plane_trees(n: int) -> tuple[PlaneTree, ...]:
     return forests[n - 1]
 
 
-@lru_cache(maxsize=None)
 def rooted_trees(n: int) -> tuple[PlaneTree, ...]:
     """Canonical representatives of unordered rooted trees on ``n`` vertices."""
     distinct = {canonicalize(t) for t in plane_trees(n)}

@@ -6,12 +6,16 @@ import math
 import shutil
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 import treegamekit
+from treegamekit import cli, tree
 from treegamekit.cli import main
+from treegamekit.geometry import MR_PROVEN_BELOW
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -361,6 +365,29 @@ class TestEuler:
         assert code == 0
         assert "points(6)" in out
 
+    def test_large_prime_q_answers_at_once(self, capsys):
+        # 10**18 + 3 is prime; trial division up to its root ran for minutes
+        q = 10**18 + 3
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "euler", "--tree", "(())", "--q", str(q), "--strict")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"points({q})\t{1 + q}"
+
+    def test_uncertified_q(self, capsys):
+        # 2^89 - 1 is prime, but past the bound below which the test is proven
+        q = 2**89 - 1
+        code, _, err = run(capsys, "euler", "--tree", "(())", "--q", str(q), "--strict")
+        assert code == 2
+        assert err == f"error: cannot certify that {q} is a prime power: " \
+                      f"the primality test is proven only below {MR_PROVEN_BELOW}\n"
+        with pytest.warns(UserWarning, match="could not be certified"):
+            code, out, _ = run(capsys, "euler", "--tree", "(())", "--q", str(q))
+        assert code == 0
+        assert out.splitlines()[-1] == f"points({q})\t{1 + q}"
+
     @needs_digit_limit
     def test_points_past_the_digit_limit(self, capsys):
         # as for phi --eval: 1 + q + q^2 at a 2,200-digit q = 7 * 11..1,
@@ -378,6 +405,44 @@ class TestEuler:
         assert len(want) > sys.get_int_max_str_digits()
         assert out.splitlines()[-1] == f"points({q})\t{want}"
         assert points == {str(q): 1 + q + q * q}
+
+
+class TestTextModeFormatting:
+    # the payload echoes the input tree, which text mode never prints
+    PLANE = "(() (() ()))"
+    LABELED = "1(2(6) 3 4(5 7))"
+    COMMANDS = [
+        ["phi", "--tree", PLANE],
+        ["winner", "--tree", PLANE],
+        ["label", "--mode", "eastpush", "--tree", PLANE],
+        ["euler", "--tree", PLANE, "--q", "2"],
+        ["montecarlo", "--tree", PLANE, "--q=-1/2", "--trials", "10"],
+        ["prunings", "--tree", PLANE],
+        ["tamari-fiber", "--tree", PLANE],
+        ["gamma-inv", "--tree", LABELED],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+    def test_input_tree_formatted_only_for_json(self, capsys, monkeypatch, argv):
+        formatted = []
+
+        def counting(fmt):
+            def wrapper(t):
+                formatted.append(t)
+                return fmt(t)
+            return wrapper
+
+        monkeypatch.setattr(cli, "format_plane_tree", counting(tree.format_plane_tree))
+        monkeypatch.setattr(cli, "format_labeled_tree", counting(tree.format_labeled_tree))
+        text = argv[argv.index("--tree") + 1]
+        given = tree.parse_labeled_tree(text) if argv[0] == "gamma-inv" else tree.parse_plane_tree(text)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert formatted.count(given) == 0
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0
+        assert json.loads(out)["tree"] == text
+        assert formatted.count(given) == 1
 
 
 class TestMonteCarlo:

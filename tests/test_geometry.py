@@ -6,6 +6,7 @@ import pytest
 
 from treegamekit.game import Winner, winner
 from treegamekit.geometry import (
+    MR_PROVEN_BELOW,
     euler_characteristic_complex,
     euler_characteristic_real,
     is_prime_power,
@@ -19,8 +20,55 @@ from treegamekit.tree import parse_plane_tree, plane_trees
 WORKED = parse_plane_tree("(() (() ()))")
 WORKED_PHI = game_polynomial(WORKED)
 
+SMALL_PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+MERSENNE_89 = 2**89 - 1  # prime, and past MR_PROVEN_BELOW
+MERSENNE_61 = 2**61 - 1  # prime, and below it
+
+
+def trial_division_prime_power(q):
+    """q is p^k for a prime p: divide out the least factor, which is prime."""
+    if q < 2:
+        return False
+    for p in range(2, q + 1):
+        if p * p > q:
+            return True  # q itself is prime
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+    return False
+
 
 class TestPrimePowers:
+    def test_agrees_with_trial_division(self):
+        assert [q for q in range(0, 100_001) if is_prime_power(q) != trial_division_prime_power(q)] == []
+
+    def test_powers_of_small_primes(self):
+        for p in SMALL_PRIMES:
+            for k in range(1, 60):
+                assert is_prime_power(p**k) is True
+                assert is_prime_power(p**k * (3 if p == 2 else 2)) is False
+        # exact roots that are composite, with no factor the division step finds
+        for p, r in zip(SMALL_PRIMES[13:], SMALL_PRIMES[14:]):
+            for k in range(1, 12):
+                assert is_prime_power((p * r) ** k) is False
+                assert is_prime_power(p**k * r ** (k + 1)) is False
+
+    def test_certified_past_trial_division_reach(self):
+        # 10**18 + 3 is prime; trial division up to its root takes minutes
+        assert is_prime_power(1_000_000_000_000_000_003) is True
+        assert is_prime_power(MERSENNE_61**3) is True
+        assert is_prime_power(MERSENNE_61 * 1_000_000_000_000_000_003) is False
+        assert is_prime_power(3**5000) is True
+
+    def test_uncertified_past_the_proven_bound(self):
+        assert MERSENNE_89 > MR_PROVEN_BELOW > MERSENNE_61
+        assert is_prime_power(MERSENNE_89) is None
+        assert is_prime_power(MERSENNE_89**2) is None
+        # a witness still proves a large root composite
+        assert is_prime_power(MERSENNE_89 * MERSENNE_61) is False
+        assert is_prime_power((MERSENNE_89 * MERSENNE_61) ** 3) is False
+
     def test_examples(self):
         yes = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 121, 128]
         no = [0, 1, 6, 10, 12, 14, 15, 18, 20, 21, 22, 24, 26, 100]
@@ -52,6 +100,12 @@ class TestPointCounts:
     def test_non_prime_power_strict_raises(self):
         with pytest.raises(ValueError):
             point_count(WORKED_PHI, 6, strict=True)
+
+    def test_uncertified_warns_or_raises_naming_the_bound(self):
+        with pytest.warns(UserWarning, match="could not be certified"):
+            assert point_count(WORKED_PHI, MERSENNE_89) == WORKED_PHI(MERSENNE_89)
+        with pytest.raises(ValueError, match=f"proven only below {MR_PROVEN_BELOW}"):
+            point_count(WORKED_PHI, MERSENNE_89, strict=True)
 
     def test_rejects_small_or_non_integer(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from treegamekit.perm import (
     format_permutation,
     inversions,
     parse_permutation,
-    placement_is_valid,
     separator_placements,
     signed_placement_total,
     weak_leq,
@@ -50,6 +49,33 @@ def first_inversion_closed(p, separators):
     t = first_inversions(p)
     seps = set(separators)
     return all(t[i - 2] == n + 1 or t[i - 2] in seps for i in seps)
+
+
+def placement_is_valid(p, separators):
+    """Block-minimum rule: each block's first value is the block minimum."""
+    p = check_fixes_one(p)
+    n = len(p)
+    cuts = sorted(set(separators))
+    if any(not 2 <= s <= n for s in cuts):
+        raise ValueError(f"separators must lie in 2..{n}, got {cuts}")
+    starts = [1, *cuts]
+    ends = [*(c - 1 for c in cuts), n]
+    for a, b in zip(starts, ends):
+        block = p[a - 1 : b]
+        if block[0] != min(block):
+            return False
+    return True
+
+
+def filtered_placements(p):
+    """Every cut set of positions 2..n that passes the block-minimum rule,
+    by size then position: the 2^(n-1) subset filter."""
+    p = check_fixes_one(p)
+    n = len(p)
+    for r in range(n):
+        for combo in itertools.combinations(range(2, n + 1), r):
+            if placement_is_valid(p, combo):
+                yield SeparatorPlacement(p, frozenset(combo))
 
 
 def brute_inversions(p):
@@ -436,6 +462,17 @@ class TestSeparatorPlacements:
                         assert placement_is_valid(p, s) == (
                             first_inversion_closed(p, s)
                         )
+
+    def test_scan_matches_subset_filter(self):
+        # same placements in the same order, for every p fixing 1 up to n = 7
+        for n in range(1, 8):
+            for p in enumerate_fixing_one(n):
+                assert list(separator_placements(p)) == list(filtered_placements(p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(perms_fixing_one(max_n=12))
+    def test_scan_matches_subset_filter_large(self, p):
+        assert list(separator_placements(p)) == list(filtered_placements(p))
 
     @given(perms_fixing_one(max_n=7))
     def test_empty_always_valid(self, p):

@@ -178,6 +178,14 @@ class TestFiveRoutes:
         for method in METHODS:
             assert table[method] == KNOWN[:8], method
 
+    def test_methods_map_names_to_routes(self):
+        assert list(METHODS) == ["stirling", "egf", "census", "split", "complement"]
+        for method, route in METHODS.items():
+            assert route(7, 7) == KNOWN[:7], method
+        with pytest.raises(ValueError):
+            METHODS["census"](8, 7)  # only the census route reads its limit
+        assert METHODS["stirling"](8, 7) == KNOWN[:8]
+
     def test_complement_identity(self):
         # the complement counts first-player wins
         for n in range(1, 9):

@@ -1,6 +1,6 @@
 """The package's public names, pinned so that deleting code cannot drop
-one; the package's freedom from recursion; and that it holds no code
-that nothing reaches."""
+one; the package's freedom from recursion and from unbounded caches; and
+that it holds no code that nothing reaches."""
 
 import ast
 from collections import Counter
@@ -78,6 +78,76 @@ def test_no_function_calls_itself():
                     name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
                     if name == fn.name and fn.name not in RECURSION_ALLOWED:
                         found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert found == []
+
+
+# Functions allowed a cache that keeps every argument it was called with,
+# each with the reason; such a cache grows for the life of the process.
+UNBOUNDED_CACHE_ALLOWED: dict[str, str] = {}
+
+
+def _is_unbounded_cache(expr):
+    """``cache`` or ``functools.cache``, or ``lru_cache`` called with a
+    maxsize of None, by position or keyword."""
+    if isinstance(expr, ast.Call):
+        if _callee_name(expr.func) != "lru_cache":
+            return False
+        size = expr.args[0] if expr.args else next((kw.value for kw in expr.keywords if kw.arg == "maxsize"), None)
+        return isinstance(size, ast.Constant) and size.value is None
+    return _callee_name(expr) == "cache"
+
+
+def _callee_name(expr):
+    return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+
+
+def _unbounded_caches(module):
+    """(wrapped function's name, line) for each unbounded cache in
+    ``module``, used as a decorator or called on a function."""
+    for node in ast.walk(module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if _is_unbounded_cache(decorator):
+                    yield node.name, decorator.lineno
+        elif isinstance(node, ast.Call) and node.args and _is_unbounded_cache(node.func):
+            yield _callee_name(node.args[0]), node.lineno
+
+
+def test_unbounded_cache_detector():
+    source = """
+import functools
+from functools import cache, lru_cache
+
+@functools.lru_cache(maxsize=None)
+def a(n): pass
+
+@lru_cache(None)
+def b(n): pass
+
+@cache
+def c(n): pass
+
+d = functools.cache(len)
+e = lru_cache(maxsize=None)(abs)
+
+@lru_cache
+def bounded(n): pass
+
+@functools.lru_cache(maxsize=64)
+def also_bounded(n): pass
+"""
+    assert sorted(_unbounded_caches(ast.parse(source))) == [
+        ("a", 5), ("abs", 15), ("b", 8), ("c", 11), ("len", 14),
+    ]
+
+
+def test_no_unbounded_cache():
+    package = Path(treegamekit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for name, line in _unbounded_caches(ast.parse(path.read_text(), str(path))):
+            if name not in UNBOUNDED_CACHE_ALLOWED:
+                found.append(f"{path.name}:{line} {name}")
     assert found == []
 
 

@@ -55,10 +55,10 @@ def increasing_trees(n):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     for parents in itertools.product(*(range(1, v) for v in range(2, n + 1))):
-        kids = [[] for _ in range(n + 1)]
+        kids = [[] for _ in range(n)]  # vertex v - 1 carries label v
         for v, par in enumerate(parents, start=2):
-            kids[par].append(v)
-        yield tree_of_index(kids, range(n + 1), root=1)
+            kids[par - 1].append(v - 1)
+        yield tree_of_index(kids, range(1, n + 1))
 
 
 @functools.lru_cache(maxsize=None)
