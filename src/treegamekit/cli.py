@@ -119,7 +119,7 @@ def _handle_stirling(args) -> Handled:
         with _exact_digits():
             text = str(value)
         return 0, {"n": n, "k": args.k, "value": value}, [text]
-    row = [seq.stirling_first(n, k) for k in range(n + 1)]
+    row = seq._stirling_row(n)
     with _exact_digits():
         lines = [f"{k}\t{v}" for k, v in enumerate(row)]
     return 0, {"n": n, "row": row}, lines
@@ -250,7 +250,8 @@ def _handle_tamari_op(args, op) -> Handled:
 def _handle_tamari_verify(args) -> Handled:
     n = _positive("--n", args.n)
     rep = tamari.verify_congruence(n, limit=_env_cap(tamari.ENUMERATION_LIMIT))
-    return (0 if rep.ok else 1), rep.to_json(), rep.to_lines()
+    payload = {"n": rep.n, "ok": rep.ok, "checks": results_json(rep.checks)}
+    return (0 if rep.ok else 1), payload, render_lines(rep.checks)
 
 
 def _handle_euler(args) -> Handled:
@@ -313,26 +314,6 @@ def _handle_verify(args) -> Handled:
     return (0 if ok else 1), payload, lines
 
 
-HANDLERS = {
-    "seq": _handle_seq,
-    "stirling": _handle_stirling,
-    "gamma": _handle_gamma,
-    "gamma-inv": _handle_gamma_inv,
-    "label": _handle_label,
-    "avoid": _handle_avoid,
-    "phi": _handle_phi,
-    "prunings": _handle_prunings,
-    "winner": _handle_winner,
-    "tamari-fiber": _handle_tamari_fiber,
-    "tamari-join": lambda args: _handle_tamari_op(args, tamari.tamari_join),
-    "tamari-meet": lambda args: _handle_tamari_op(args, tamari.tamari_meet),
-    "tamari-verify": _handle_tamari_verify,
-    "euler": _handle_euler,
-    "montecarlo": _handle_montecarlo,
-    "verify": _handle_verify,
-}
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -347,67 +328,72 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("seq", parents=[common], help="the census sequence, five ways")
+    def command(name, handler, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("seq", _handle_seq, "the census sequence, five ways")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=seq.METHODS, default="stirling")
     p.add_argument("--all-methods", action="store_true")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; evaluation is serial either way")
 
-    p = sub.add_parser("stirling", parents=[common], help="unsigned Stirling numbers, first kind")
+    p = command("stirling", _handle_stirling, "unsigned Stirling numbers, first kind")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
 
-    p = sub.add_parser("gamma", parents=[common], help="permutation to increasing tree")
+    p = command("gamma", _handle_gamma, "permutation to increasing tree")
     p.add_argument("--perm", required=True)
 
-    p = sub.add_parser("gamma-inv", parents=[common], help="increasing tree to permutation")
+    p = command("gamma-inv", _handle_gamma_inv, "increasing tree to permutation")
     p.add_argument("--tree", required=True)
 
-    p = sub.add_parser("label", parents=[common], help="stack labelings of a plane tree")
+    p = command("label", _handle_label, "stack labelings of a plane tree")
     p.add_argument("--mode", choices=("eastpush", "westpop"), required=True)
     p.add_argument("--tree", required=True)
 
-    p = sub.add_parser("avoid", parents=[common], help="pattern avoidance query")
+    p = command("avoid", _handle_avoid, "pattern avoidance query")
     p.add_argument("--pattern", choices=("213", "312"), required=True)
     p.add_argument("--perm", required=True)
 
-    p = sub.add_parser("phi", parents=[common], help="game polynomial of a plane tree")
+    p = command("phi", _handle_phi, "game polynomial of a plane tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--via", choices=("recursion", "prunings"), default="recursion")
     p.add_argument("--eval", default=None, metavar="Q", help="also evaluate at a rational q")
 
-    p = sub.add_parser("prunings", parents=[common], help="the pruning lattice of a plane tree")
+    p = command("prunings", _handle_prunings, "the pruning lattice of a plane tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--rgf", action="store_true", help="include the rank generating function")
     p.add_argument("--list", action="store_true", help="list every pruning")
 
-    p = sub.add_parser("winner", parents=[common], help="game winner and optimal move")
+    p = command("winner", _handle_winner, "game winner and optimal move")
     p.add_argument("--tree", required=True)
 
-    p = sub.add_parser("tamari-fiber", parents=[common], help="all permutations over a tree")
+    p = command("tamari-fiber", _handle_tamari_fiber, "all permutations over a tree")
     p.add_argument("--tree", required=True)
 
-    for name in ("tamari-join", "tamari-meet"):
-        p = sub.add_parser(name, parents=[common], help=f"{name.split('-')[1]} of two trees")
+    for name, op in (("tamari-join", tamari.tamari_join), ("tamari-meet", tamari.tamari_meet)):
+        p = command(name, lambda args, op=op: _handle_tamari_op(args, op), f"{name.split('-')[1]} of two trees")
         p.add_argument("--a", required=True, metavar="TREE")
         p.add_argument("--b", required=True, metavar="TREE")
 
-    p = sub.add_parser("tamari-verify", parents=[common], help="congruence checks at size n")
+    p = command("tamari-verify", _handle_tamari_verify, "congruence checks at size n")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("euler", parents=[common], help="cell-level geometry of a tree")
+    p = command("euler", _handle_euler, "cell-level geometry of a tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--q", type=int, action="append", help="also count points at q (repeatable)")
     p.add_argument("--strict", action="store_true", help="reject q that is not a prime power")
 
-    p = sub.add_parser("montecarlo", parents=[common], help="empirical check of phi at q in [-1,0]")
+    p = command("montecarlo", _handle_montecarlo, "empirical check of phi at q in [-1,0]")
     p.add_argument("--tree", required=True)
     p.add_argument("--q", required=True, help="rational in [-1, 0]; write fractions as --q=-1/2")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("verify", parents=[common], help="run the cross-identity suite")
+    p = command("verify", _handle_verify, "run the cross-identity suite")
     p.add_argument("--n", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200)
@@ -428,7 +414,7 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
-        code, payload, lines = HANDLERS[args.command](args)
+        code, payload, lines = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ function takes phi, so a caller computes it once per tree.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 from .poly import Poly
@@ -45,10 +46,12 @@ def point_count(phi: Poly, q: int, strict: bool = False) -> int:
 
 def is_prime_power(q: int) -> bool | None:
     """Whether q is p^k for a prime p; None when that cannot be certified.
-    Once the primes to 41 are divided out, q is r^k for the largest k with
-    an exact integer root r, and Miller-Rabin tells whether r is prime: to
-    every base in ``MR_BASES`` below ``MR_PROVEN_BELOW``, and past it to
-    base 2 alone, since there passing proves nothing and failing still does.
+    Once the primes to 41 are divided out, q is taken to its exact k-th root
+    for each prime k that has one, k again after every success, so that
+    q = r^6 falls to k = 2 and then k = 3; Miller-Rabin then tells whether
+    the last root is prime: to every base in ``MR_BASES`` below
+    ``MR_PROVEN_BELOW``, and past it to base 2 alone, since there passing
+    proves nothing and failing still does.
 
     >>> is_prime_power(1_000_000_000_000_000_003), is_prime_power(12), is_prime_power(2**89 - 1)
     (True, False, None)
@@ -60,24 +63,34 @@ def is_prime_power(q: int) -> bool | None:
             while q % b == 0:
                 q //= b
             return q == 1
-    root = q
-    for k in range(q.bit_length() // 5, 1, -1):  # prime factors now exceed 2^5, so r^k = q needs 5k < log2 q
+    k = 2
+    while k <= q.bit_length() // 5:  # prime factors now exceed 2^5, so r^k = q needs 5k < log2 q
         r = _integer_root(q, k)
         if r**k == q:
-            root = r
-            break
-    if root < MR_PROVEN_BELOW:
-        return _passes_miller_rabin(root, MR_BASES)
-    return None if _passes_miller_rabin(root, MR_BASES[:1]) else False
+            q = r
+            continue
+        k += 1
+        while any(k % d == 0 for d in range(2, math.isqrt(k) + 1)):
+            k += 1
+    if q < MR_PROVEN_BELOW:
+        return _passes_miller_rabin(q, MR_BASES)
+    return None if _passes_miller_rabin(q, MR_BASES[:1]) else False
 
 
 def _integer_root(q: int, k: int) -> int:
-    """The integer part of q^(1/k), by bisection in integers."""
-    lo, hi = 1, 1 << -(-q.bit_length() // k)  # lo^k <= q < hi^k
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mid**k <= q else (lo, mid)
-    return lo
+    """The integer part of q^(1/k).  Newton's method falls to it from any
+    start above it, but from below it can stop short, so it starts from
+    2^(log2(q) / k) with the exponent raised past the float's error."""
+    if k == 2:
+        return math.isqrt(q)
+    e = math.log2(q) * (1 + 2**-40) / k
+    shift = max(int(e) - 52, 0)
+    x = (int(2 ** (e - shift)) + 1) << shift
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _passes_miller_rabin(r: int, bases: tuple[int, ...]) -> bool:

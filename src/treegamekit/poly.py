@@ -139,15 +139,13 @@ def game_polynomial(t: PlaneTree) -> Poly:
     return _fold(t, iter, lambda node, phis: math.prod((Poly((1, *phi.coeffs)) for phi in phis), start=ONE))
 
 
-def _pruning_count(node: PlaneTree, counts: list) -> int | ValueError:
-    """A subtree's pruning count, or the first refusal a listing would meet."""
+def _pruning_count(node: PlaneTree, counts: list[int]) -> int:
+    """A subtree's pruning count; refused past 2^(MATERIALIZE_LIMIT - 1)."""
     count = 1
     for c in counts:
-        if isinstance(c, ValueError):
-            return c
         count *= 1 + c
         if count > 1 << (MATERIALIZE_LIMIT - 1):
-            return ValueError(
+            raise ValueError(
                 f"a subtree has at least {count} prunings; profiles are listed only up to 2^{MATERIALIZE_LIMIT - 1}"
             )
     return count
@@ -182,10 +180,9 @@ def pruning_profiles(t: PlaneTree) -> list[tuple[int, int, bool]]:
     Refuses a tree, or subtree, with more than 2^(MATERIALIZE_LIMIT - 1)
     prunings, the most that a materializable lattice (a star with
     MATERIALIZE_LIMIT vertices) has, by a counting pass that checks each
-    running product after every child, before anything is listed."""
-    count = _fold(t, iter, _pruning_count)
-    if isinstance(count, ValueError):
-        raise count
+    running product after every child, before anything is listed; the
+    pass runs in postorder and names the first subtree it refuses."""
+    _fold(t, iter, _pruning_count)
     return _fold(t, iter, _profiles)
 
 

@@ -25,34 +25,28 @@ from . import game
 from .poly import Poly
 
 
-# the highest Stirling row built so far, as (n, row)
-_top_row: tuple[int, tuple[int, ...]] = (0, (1,))
+def _stirling_rows(n_max: int):
+    """Rows 0..n_max of c(n, k), each built from the one before by
+    c(m, k) = c(m-1, k-1) + (m-1) * c(m-1, k); only the latest is held."""
+    row = (1,)
+    yield row
+    for m in range(1, n_max + 1):
+        row = (0, *(a + (m - 1) * b for a, b in zip(row, (*row[1:], 0))))
+        yield row
 
 
 def _stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of c(n, k), built by c(m, k) = c(m-1, k-1) + (m-1) * c(m-1, k)
-    upward from the highest row built so far, or from row 0 when n lies
-    below it.  No call recurses, callers asking rows in ascending order
-    pay one step per entry, and only the highest row is kept."""
-    global _top_row
-    m, row = _top_row
-    if m > n:
-        m, row = 0, (1,)
-    while m < n:
-        m += 1
-        prev = row
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            row[k] = prev[k - 1] + (m - 1) * (prev[k] if k < m else 0)
-        row = tuple(row)
-    if n > _top_row[0]:
-        _top_row = (n, row)
+    """Row n of c(n, k), built from row 0 in O(n^2) steps."""
+    for row in _stirling_rows(n):
+        pass
     return row
 
 
 def stirling_first(n: int, k: int) -> int:
     """Unsigned Stirling numbers of the first kind, c(n, k): permutations
-    of n letters with k cycles.
+    of n letters with k cycles.  Each call builds row n afresh, in O(n^2)
+    steps; a caller who needs many entries takes the row, ``_stirling_row``,
+    or many rows in one pass, ``_stirling_rows``.
 
     >>> stirling_first(6, 3)
     225
@@ -64,16 +58,20 @@ def stirling_first(n: int, k: int) -> int:
     return _stirling_row(n)[k]
 
 
+def _alternating_sum(row: tuple[int, ...]) -> int:
+    """(-1)^(k-1) * (k-1)! * c(n, k) summed over k = 1..n, for row n."""
+    total = 0
+    for k in range(1, len(row)):
+        term = math.factorial(k - 1) * row[k]
+        total += term if (k - 1) % 2 == 0 else -term
+    return total
+
+
 def census_by_stirling_sum(n: int) -> int:
     """Alternating sum (-1)^(k-1) * (k-1)! * c(n, k) over k = 1..n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    row = _stirling_row(n)
-    total = 0
-    for k in range(1, n + 1):
-        term = math.factorial(k - 1) * row[k]
-        total += term if (k - 1) % 2 == 0 else -term
-    return total
+    return _alternating_sum(_stirling_row(n))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,7 @@ def census_by_complement_recurrence(n_max: int) -> list[int]:
 # each route by name, as (n_max, census_limit) -> values for n = 1..n_max;
 # only the census route reads its limit
 METHODS: dict[str, Callable[[int, int], list[int]]] = {
-    "stirling": lambda n_max, census_limit: [census_by_stirling_sum(n) for n in range(1, n_max + 1)],
+    "stirling": lambda n_max, census_limit: [_alternating_sum(row) for row in _stirling_rows(n_max)][1:],
     "egf": lambda n_max, census_limit: census_by_egf(n_max),
     "census": lambda n_max, census_limit: [
         game.census_second_player_wins(n, limit=census_limit) for n in range(1, n_max + 1)

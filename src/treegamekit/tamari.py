@@ -38,7 +38,7 @@ from .perm import (
     enumerate_fixing_one,
     first_inversions,
 )
-from .report import CheckResult, render_lines, results_json
+from .report import CheckResult
 from .tree import (
     PlaneTree,
     eastpush_labeling,
@@ -225,11 +225,12 @@ def fiber(tree: PlaneTree, limit: int = ENUMERATION_LIMIT) -> Fiber:
     from the two stack labelings.  Refused when it has more members than
     the (limit - 1)! permutations of ``limit`` vertices."""
     fif = fif_from_tree(tree)
-    cap = math.factorial(limit - 1)
-    size = _hook_count(fif, stop=max(cap, _NAMED))
-    if size > cap:
-        count = size if size <= _NAMED else "over 10^20"
-        raise ValueError(f"fiber of {count} members exceeds the cap {cap} = ({limit} - 1)!")
+    if len(fif) > limit:  # else it has at most (n - 1)! <= (limit - 1)! members
+        cap = math.factorial(limit - 1)
+        size = _hook_count(fif, stop=max(cap, _NAMED))
+        if size > cap:
+            count = size if size <= _NAMED else "over 10^20"
+            raise ValueError(f"fiber of {count} members exceeds the cap {cap} = ({limit} - 1)!")
     members = _fiber_members(fif)
     members.sort()
     top = perm_from_increasing_tree(eastpush_labeling(tree))
@@ -251,12 +252,6 @@ class CongruenceReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_lines(self) -> list[str]:
-        return render_lines(self.checks)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "ok": self.ok, "checks": results_json(self.checks)}
 
 
 def _inversion_mask(p: Perm, pair_index: dict[tuple[int, int], int]) -> int:

@@ -16,6 +16,8 @@ import treegamekit
 from treegamekit import cli, tree
 from treegamekit.cli import main
 from treegamekit.geometry import MR_PROVEN_BELOW
+from treegamekit.report import render_lines, results_json
+from treegamekit.tamari import verify_congruence
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -324,6 +326,34 @@ class TestTamari:
         code, out, _ = run(capsys, "--json", "tamari-verify", "--n", "4")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_verify_lines_and_json(self, capsys):
+        # the report renders through the same functions as tgk verify
+        checks = verify_congruence(4).checks
+        _, out, _ = run(capsys, "tamari-verify", "--n", "4")
+        lines = out.splitlines()
+        assert all(line.startswith("CHECK ") and line.count("PASS") == 1 for line in lines)
+        assert lines == render_lines(checks)
+        _, out, _ = run(capsys, "--json", "tamari-verify", "--n", "4")
+        blob = json.loads(out)
+        assert blob["n"] == 4
+        assert blob["checks"] == results_json(checks)
+        assert {c["name"] for c in blob["checks"]} == {
+            "fiber-interval",
+            "upper-projection-monotone",
+            "lower-projection-monotone",
+            "fiber-hook-count",
+        }
+
+    def test_fiber_of_a_small_tree_under_a_huge_cap(self, capsys, monkeypatch):
+        # (TGK_MAX_N - 1)! is taken only for a tree with more vertices than
+        # TGK_MAX_N; math.factorial(10**6) alone takes seconds
+        monkeypatch.setenv("TGK_MAX_N", "10000000")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tamari-fiber", "--tree", "(())")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out == "top\t1,2\nbottom\t1,2\nsize\t1\nmember\t1,2\n"
 
     def test_verify_rejects_nonpositive_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("TGK_MAX_N", "0")

@@ -1,11 +1,15 @@
 """Tests for the cell complex reading of the pruning lattice."""
 
+import random
+import time
 import warnings
 
 import pytest
 
+from treegamekit import geometry
 from treegamekit.game import Winner, winner
 from treegamekit.geometry import (
+    MR_BASES,
     MR_PROVEN_BELOW,
     euler_characteristic_complex,
     euler_characteristic_real,
@@ -68,6 +72,26 @@ class TestPrimePowers:
         # a witness still proves a large root composite
         assert is_prime_power(MERSENNE_89 * MERSENNE_61) is False
         assert is_prime_power((MERSENNE_89 * MERSENNE_61) ** 3) is False
+
+    def test_integer_roots_are_exact(self):
+        rng = random.Random(0)
+        for _ in range(300):
+            k = rng.randrange(2, 40)
+            r = rng.randrange(2, 10 ** rng.randrange(1, 60))
+            for q in (r**k - 1, r**k, r**k + 1, rng.randrange(2, 10 ** rng.randrange(2, 400))):
+                root = geometry._integer_root(q, k)
+                assert root**k <= q < (root + 1) ** k, (q, k)
+
+    def test_root_search_is_quick_on_a_large_q(self, monkeypatch):
+        # 2,000 digits with no factor up to 41: every prime k up to
+        # log2(q) / 5 is tried; the Miller-Rabin round is not timed
+        q = 10**1999 + 1
+        while any(q % b == 0 for b in MR_BASES):
+            q += 2
+        monkeypatch.setattr(geometry, "_passes_miller_rabin", lambda r, bases: False)
+        start = time.perf_counter()
+        assert is_prime_power(q) is False
+        assert time.perf_counter() - start < 0.5
 
     def test_examples(self):
         yes = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 121, 128]

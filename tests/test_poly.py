@@ -227,6 +227,13 @@ class TestPruningProfiles:
             tracemalloc.stop()
         assert peak < 8 << 19
 
+    def test_refusal_names_the_first_subtree_over_the_cap(self):
+        # the counting pass raises in postorder: the 20-leaf star is refused
+        # before its parent, whose first two children already pass the cap
+        star = ((),) * 10
+        with pytest.raises(ValueError, match="at least 1048576 prunings"):
+            pruning_profiles((star, star, ((),) * 20))
+
     def test_sum_route_matches_product_route(self):
         for n in range(1, 9):
             for t in plane_trees(n):

@@ -98,15 +98,24 @@ class TestStirling:
             for n in order:
                 assert build(n) == expected[n]
 
-    def test_ascending_rows_build_one_step(self, monkeypatch):
-        # a row above the highest one built is built from that row, not
-        # from row 0: planting a wrong row 3 shows in row 4, and a row at
-        # or below the planted one is rebuilt from row 0
-        build = seq._stirling_row
-        monkeypatch.setattr(seq, "_top_row", (3, (0, 0, 0, 1)))
-        assert build(4) == (0, 0, 0, 3, 1)
-        assert seq._top_row == (4, (0, 0, 0, 3, 1))
-        assert build(2) == (0, 1, 1)
+    def test_stirling_route_ignores_call_history(self, monkeypatch):
+        # the route takes rows 0..n_max from one pass, and the same rows
+        # whether or not a higher row was asked for first
+        pulled = []
+        rows = seq._stirling_rows
+
+        def counted(n_max):
+            for row in rows(n_max):
+                pulled.append(row)
+                yield row
+
+        monkeypatch.setattr(seq, "_stirling_rows", counted)
+        assert METHODS["stirling"](10, 0) == KNOWN
+        assert len(pulled) == 11
+        stirling_first(40, 1)
+        pulled.clear()
+        assert METHODS["stirling"](10, 0) == KNOWN
+        assert len(pulled) == 11
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

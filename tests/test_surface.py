@@ -1,6 +1,6 @@
 """The package's public names, pinned so that deleting code cannot drop
-one; the package's freedom from recursion and from unbounded caches; and
-that it holds no code that nothing reaches."""
+one; the package's freedom from recursion, from unbounded caches and from
+module state; and that it holds no code that nothing reaches."""
 
 import ast
 from collections import Counter
@@ -148,6 +148,21 @@ def test_no_unbounded_cache():
         for name, line in _unbounded_caches(ast.parse(path.read_text(), str(path))):
             if name not in UNBOUNDED_CACHE_ALLOWED:
                 found.append(f"{path.name}:{line} {name}")
+    assert found == []
+
+
+# Names a function may rebind with a ``global`` statement, each with the
+# reason; such state makes a result, or its cost, depend on call history.
+GLOBAL_ALLOWED: dict[str, str] = {}
+
+
+def test_no_global_statement():
+    package = Path(treegamekit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Global):
+                found += [f"{path.name}:{node.lineno} {name}" for name in node.names if name not in GLOBAL_ALLOWED]
     assert found == []
 
 

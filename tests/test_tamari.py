@@ -14,7 +14,6 @@ from treegamekit.perm import (
     inversions,
     weak_leq,
 )
-from treegamekit.report import render_lines, results_json
 from treegamekit.tamari import (
     ENUMERATION_LIMIT,
     Fiber,
@@ -431,24 +430,6 @@ class TestCongruence:
             assert report.ok
             assert report.n == n
             assert len(report.checks) == 4
-
-    def test_lines_and_json(self):
-        report = verify_congruence(4)
-        lines = report.to_lines()
-        assert len(lines) == 4
-        assert all(line.startswith("CHECK ") for line in lines)
-        assert all(line.count("PASS") == 1 for line in lines)
-        assert lines == render_lines(report.checks)
-        blob = report.to_json()
-        assert blob["checks"] == results_json(report.checks)
-        assert blob["n"] == 4
-        assert blob["ok"] is True
-        assert {c["name"] for c in blob["checks"]} == {
-            "fiber-interval",
-            "upper-projection-monotone",
-            "lower-projection-monotone",
-            "fiber-hook-count",
-        }
 
     def test_matches_pairwise_oracle(self):
         for n in range(1, 7):
