@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Print the counting sequence by every available route, side by side.
 
-The census column sweeps all (n-1)! increasing trees, so the default
-stops at 10; the closed-form columns go as far as you like.
+The census column counts increasing trees label by label and stops at
+the library's census cap by default; the closed-form columns go as far
+as you like.
 """
 
 import argparse
 import sys
 
+from treegamekit.game import CENSUS_LIMIT
 from treegamekit.seq import METHODS
 
 
@@ -17,8 +19,8 @@ def main() -> int:
     parser.add_argument(
         "--census-limit",
         type=int,
-        default=10,
-        help="largest n allowed to use tree enumeration",
+        default=CENSUS_LIMIT,
+        help="largest n for the census column",
     )
     args = parser.parse_args()
     n_max = args.n_max

@@ -89,7 +89,7 @@ def _handle_seq(args) -> Handled:
     n = _positive("--n", args.n)
     cap = _env_cap(game.CENSUS_LIMIT)
     if (args.all_methods or args.method == "census") and n > cap:
-        raise ValueError(f"census method is capped at n = {cap}; set TGK_MAX_N to raise it (factorial cost)")
+        raise ValueError(f"census method is capped at n = {cap}; set TGK_MAX_N to raise it")
     if args.all_methods:
         table = seq.census_table(n, census_limit=cap)
         lines = []

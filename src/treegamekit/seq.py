@@ -7,7 +7,8 @@ here by
 * an alternating sum of unsigned Stirling numbers of the first kind,
 * exact series extraction from the exponential generating function
   log(1 - log(1 - x)),
-* direct enumeration of the (n-1)! increasing trees (see ``game``),
+* a census of the (n-1)! increasing trees, counted label by label by
+  what the game can see of them (see ``game``),
 * a recurrence splitting a tree at the subtree containing the top label,
 * a complementary recurrence for the first-player counts.
 
@@ -61,9 +62,11 @@ def stirling_first(n: int, k: int) -> int:
 def _alternating_sum(row: tuple[int, ...]) -> int:
     """(-1)^(k-1) * (k-1)! * c(n, k) summed over k = 1..n, for row n."""
     total = 0
+    factorial = 1  # (k-1)!
     for k in range(1, len(row)):
-        term = math.factorial(k - 1) * row[k]
+        term = factorial * row[k]
         total += term if (k - 1) % 2 == 0 else -term
+        factorial *= k
     return total
 
 
@@ -178,4 +181,9 @@ def separator_weight_polynomial(n: int) -> Poly:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     row = _stirling_row(n)
-    return Poly(math.factorial(k - 1) * row[k] for k in range(1, n + 1))
+    coeffs = []
+    factorial = 1  # (k-1)!
+    for k in range(1, n + 1):
+        coeffs.append(factorial * row[k])
+        factorial *= k
+    return Poly(coeffs)

@@ -397,18 +397,12 @@ def rooted_trees(n: int) -> tuple[PlaneTree, ...]:
     return tuple(sorted(distinct, key=lambda t: (len(format_plane_tree(t)), format_plane_tree(t))))
 
 
-def parent_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    """Each vertex 1..n-1 picks a parent among the smaller vertices (entry
-    v - 1 is the parent of v): one vector per increasing tree.  Returns the
-    bare ``itertools.product`` iterator, as the census sweeps all (n-1)!."""
-    return itertools.product(*(range(i) for i in range(1, n)))
-
-
 def increasing_tree_shapes(n: int) -> Iterator[PlaneTree]:
-    """Shapes of all increasing trees on n labels, children by label."""
+    """Shapes of all increasing trees on n labels, children by label: each
+    vertex 1..n-1 picks a parent among the smaller ones."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    for par in parent_vectors(n):
+    for par in itertools.product(*(range(v) for v in range(1, n))):
         yield tree_of_index(_children_table(par))
 
 

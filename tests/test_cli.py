@@ -67,9 +67,15 @@ class TestSeq:
 
     def test_census_cap(self, capsys, monkeypatch):
         monkeypatch.delenv("TGK_MAX_N", raising=False)
-        code, _, err = run(capsys, "seq", "--n", "11", "--method", "census")
+        code, _, err = run(capsys, "seq", "--n", "21", "--method", "census")
         assert code == 2
         assert "TGK_MAX_N" in err
+
+    def test_census_answers_up_to_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("TGK_MAX_N", raising=False)
+        code, out, _ = run(capsys, "seq", "--n", "20", "--method", "census")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "20\t24314102888206464"
 
     def test_census_cap_can_be_raised(self, capsys, monkeypatch):
         monkeypatch.setenv("TGK_MAX_N", "8")

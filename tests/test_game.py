@@ -1,7 +1,11 @@
 """Tests for the descent game: winner, optimal move, and the census."""
 
+import itertools
+import math
+
 import pytest
 
+from treegamekit import game
 from treegamekit.game import (
     Winner,
     census_second_player_wins,
@@ -92,14 +96,40 @@ class TestCensus:
             194,
         ]
 
+    def test_matches_parent_vector_sweep(self):
+        for n in range(1, 10):
+            assert census_second_player_wins(n) == _sweep_census(n), n
+
+    def test_weights_cover_every_tree(self):
+        for n in range(1, 21):
+            assert sum(game._census_weights(n).values()) == math.factorial(n - 1), n
+
+    def test_lost_trees_raise(self, monkeypatch):
+        monkeypatch.setattr(game, "_census_weights", lambda n: {0: 1})
+        with pytest.raises(ArithmeticError):
+            census_second_player_wins(3)
+
     def test_limit_guard(self):
         with pytest.raises(ValueError):
-            census_second_player_wins(11)
-        assert census_second_player_wins(10) == 81384
+            census_second_player_wins(21)
+        assert census_second_player_wins(20) == 24314102888206464
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             census_second_player_wins(0)
+
+
+def _sweep_census(n):
+    """The oracle: play the game on each of the (n-1)! parent vectors, a
+    vertex whose mover loses marking its parent winnable, bottom up."""
+    count = 0
+    for par in itertools.product(*(range(v) for v in range(1, n))):
+        wins = [False] * n
+        for v in range(n - 1, 0, -1):
+            if not wins[v]:
+                wins[par[v - 1]] = True
+        count += not wins[0]
+    return count
 
 
 class TestCanonicalInvariance:

@@ -213,7 +213,7 @@ class TestFiveRoutes:
 
     def test_census_limit(self):
         with pytest.raises(ValueError):
-            census_second_player_wins(12)
+            census_second_player_wins(21)
 
     def test_split_recurrence_by_hand(self):
         # a_4 = C(2,0)(0! - a_1)a_3 + C(2,1)(1! - a_2)a_2 + C(2,2)(2! - a_3)a_1
