@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,9 +55,12 @@ def _check_separator_weight(cfg: VerifyConfig) -> CheckResult:
     name = "separator-weight-identity"
     n_max = min(cfg.n, 8)
     for n in range(1, n_max + 1):
+        weights = {shape: tree.increasing_labelings(shape) for shape in tree.rooted_trees(n)}
+        if sum(weights.values()) != math.factorial(n - 1):
+            return CheckResult(name, False, f"n={n}: shape weights sum to {sum(weights.values())}, not {n - 1}!")
         total = poly.ZERO
-        for shape in tree.increasing_tree_shapes(n):
-            total = total + lattice.PruningLattice(shape).rank_polynomial()
+        for shape, weight in weights.items():
+            total = total + poly.Poly((weight,)) * lattice.PruningLattice(shape).rank_polynomial()
         if total != seq.separator_weight_polynomial(n):
             return CheckResult(name, False, f"n={n}: {total} vs {seq.separator_weight_polynomial(n)}")
     return CheckResult(name, True, f"rank polynomials sum correctly through n={n_max}")
@@ -130,38 +134,34 @@ def _check_congruence(cfg: VerifyConfig) -> CheckResult:
     return CheckResult(name, True, f"fibers, projections and hook counts through n={n_max}")
 
 
-def _quotient_oracle(n: int):
-    """Definition-level quotient order: class A is below class B when
-    some member of A is weak-order below some member of B."""
+def _quotient_rows(n: int):
+    """Definition-level quotient order as bitset rows over classes: bit b
+    of ``above[a]``, and bit a of ``below[b]``, is set when some member of
+    class a is weak-order below some member of class b."""
     elements = [tamari.TamariElement.from_tree(t) for t in tree.plane_trees(n)]
-    members: dict[tuple[int, ...], list[frozenset]] = {e.fif: [] for e in elements}
-    for p in perm.enumerate_fixing_one(n):
-        members[perm.first_inversions(p)].append(perm.inversions(p))
     index = {e.fif: k for k, e in enumerate(elements)}
-    size = len(elements)
-    leq = [[False] * size for _ in range(size)]
-    for a in elements:
-        for b in elements:
-            leq[index[a.fif]][index[b.fif]] = any(
-                ia <= ib for ia in members[a.fif] for ib in members[b.fif]
-            )
-    return elements, index, leq
+    members: list[list[int]] = [[] for _ in elements]  # inversion sets as masks
+    for p in perm.enumerate_fixing_one(n):
+        members[index[perm.first_inversions(p)]].append(sum(1 << (i * n + j) for i, j in perm.inversions(p)))
+    above, below = [0] * len(elements), [0] * len(elements)
+    for a, lows in enumerate(members):
+        for b, highs in enumerate(members):
+            if any(low & ~high == 0 for low in lows for high in highs):
+                above[a] |= 1 << b
+                below[b] |= 1 << a
+    return elements, index, above, below
 
 
 def _check_join_meet(cfg: VerifyConfig) -> CheckResult:
     name = "join-meet-bruteforce"
     n_max = min(cfg.n, 6)
     for n in range(1, n_max + 1):
-        elements, index, leq = _quotient_oracle(n)
-        size = len(elements)
-        for a in elements:
-            ia = index[a.fif]
-            for b in elements:
-                ib = index[b.fif]
-                uppers = [k for k in range(size) if leq[ia][k] and leq[ib][k]]
-                least = [k for k in uppers if all(leq[k][m] for m in uppers)]
-                lowers = [k for k in range(size) if leq[k][ia] and leq[k][ib]]
-                greatest = [k for k in lowers if all(leq[m][k] for m in lowers)]
+        elements, index, above, below = _quotient_rows(n)
+        for ia, a in enumerate(elements):
+            for ib, b in enumerate(elements):
+                uppers, lowers = above[ia] & above[ib], below[ia] & below[ib]
+                least = [k for k in lattice._bits(uppers) if uppers & ~above[k] == 0]
+                greatest = [k for k in lattice._bits(lowers) if lowers & ~below[k] == 0]
                 if len(least) != 1 or len(greatest) != 1:
                     return CheckResult(name, False, f"not a lattice at n={n}")
                 if index[tamari.tamari_join(a, b).fif] != least[0]:
@@ -211,13 +211,14 @@ def _check_euler_data(cfg: VerifyConfig) -> CheckResult:
         cells = len(profiles)
         if geometry.euler_characteristic_complex(phi) != cells:
             return CheckResult(name, False, f"cell count mismatch on {tree.format_plane_tree(t)}")
-        direct_real = sum(-1 if r % 2 else 1 for r, _, _ in profiles)
+        ranks = Counter(r for r, _, _ in profiles)
+        direct_real = sum(-count if r % 2 else count for r, count in ranks.items())
         if geometry.euler_characteristic_real(phi) != direct_real:
             return CheckResult(name, False, f"real characteristic mismatch on {tree.format_plane_tree(t)}")
         if geometry.euler_characteristic_real(phi) != cells % 2:
             return CheckResult(name, False, f"parity mismatch on {tree.format_plane_tree(t)}")
         for q in (2, 3, 5):
-            direct = sum(q**r for r, _, _ in profiles)
+            direct = sum(count * q**r for r, count in ranks.items())
             if geometry.point_count(phi, q) != direct:
                 return CheckResult(name, False, f"point count mismatch at q={q}")
         if geometry.poincare_polynomial(phi)(1) != cells:

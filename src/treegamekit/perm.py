@@ -214,10 +214,18 @@ def separator_placements(p: Sequence[int]) -> Iterator[SeparatorPlacement]:
         yield SeparatorPlacement(p, frozenset(cuts))
 
 
+def _signed_placements(p: Perm) -> int:
+    """The signed count of ``p``'s valid placements, by the scan of
+    ``separator_placements`` keyed only by the open block's first value:
+    a cut before v moves every count to v, sign flipped."""
+    signed = {p[0]: 1}
+    for v in p[1:]:
+        cut = -sum(signed.values())
+        signed = {first: count for first, count in signed.items() if first < v}
+        signed[v] = cut
+    return sum(signed.values())
+
+
 def signed_placement_total(n: int) -> int:
     """Sum of placement signs over every permutation of {1..n} fixing 1."""
-    total = 0
-    for p in enumerate_fixing_one(n):
-        for placement in separator_placements(p):
-            total += placement.sign
-    return total
+    return sum(_signed_placements(p) for p in enumerate_fixing_one(n))

@@ -21,12 +21,15 @@ every fiber has its hook count of members.  Weak order is the
 transitive closure of its covers, so the projections are checked on
 covers only; its intervals are connected under covers, so each fiber is
 compared with an upward cover search from its bottom, bounded by its
-top.
+top.  The sweep never looks a permutation up: ``enumerate_fixing_one``
+is lexicographic, so a permutation's index is its Lehmer rank, and an
+up-cover, which raises one Lehmer digit by 1, sits a factorial further
+on; inversion masks pass from each permutation to its up-covers, one
+bit at a time, in index order (``_covers_by_rank``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -34,7 +37,6 @@ from typing import Sequence
 from .perm import (
     Perm,
     avoids,
-    check_first_inversions,
     enumerate_fixing_one,
     first_inversions,
 )
@@ -61,7 +63,7 @@ class TamariElement:
 
     @classmethod
     def from_fif(cls, fif: Sequence[int]) -> "TamariElement":
-        fif = check_first_inversions(fif)
+        fif = tuple(fif)
         return cls(fif, tree_from_first_inversions(fif))
 
     @classmethod
@@ -254,32 +256,28 @@ class CongruenceReport:
         return all(c.passed for c in self.checks)
 
 
-def _inversion_mask(p: Perm, pair_index: dict[tuple[int, int], int]) -> int:
-    mask = 0
-    n = len(p)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if p[i - 1] > p[j - 1]:
-                mask |= 1 << pair_index[i, j]
-    return mask
-
-
-def _up_covers(p: Perm) -> list[Perm]:
-    """The weak-order up-covers of ``p`` among permutations fixing 1.
-
-    For each k in 2..n-1 standing left of k + 1, swap the two values.
-    The swap adds exactly the inversion of their two positions (every
-    other value compares alike with k and k + 1) and never moves the 1.
-    """
-    where = {v: i for i, v in enumerate(p)}
-    out = []
-    for k in range(2, len(p)):
-        i, j = where[k], where[k + 1]
-        if i < j:
-            q = list(p)
-            q[i], q[j] = k + 1, k
-            out.append(tuple(q))
-    return out
+def _covers_by_rank(perms: Sequence[Perm]) -> tuple[list[list[int]], list[int]]:
+    """Up-covers and inversion masks of ``perms`` (in the order of
+    ``enumerate_fixing_one``) by index, the Lehmer rank: swapping k at i
+    with k + 1 at j > i adds 1 to Lehmer digit i and bit i * n + j to the
+    mask.  Every permutation but the first covers one before it."""
+    n = len(perms[0])
+    step = [math.factorial(n - 1 - i) for i in range(n)]
+    mask_of = [0] * len(perms)
+    up = []
+    ids = list(range(len(perms)))  # one int object per index, shared by all covers
+    where = [0] * (n + 1)  # by value, its position in p
+    for idx, p in enumerate(perms):
+        for i, v in enumerate(p):
+            where[v] = i
+        covers = []
+        for i, j in zip(where[2:], where[3:]):  # the positions of k and k + 1, k = 2..n-1
+            if i < j:
+                q = ids[idx + step[i]]
+                mask_of[q] = mask_of[idx] | 1 << (i * n + j)
+                covers.append(q)
+        up.append(covers)
+    return up, mask_of
 
 
 def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceReport:
@@ -296,19 +294,16 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
 
     perms = list(enumerate_fixing_one(n))
     index = {p: i for i, p in enumerate(perms)}
-    pair_index = {pair: k for k, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
-    mask_of = [_inversion_mask(p, pair_index) for p in perms]
-    up = [[index[q] for q in _up_covers(p)] for p in perms]
+    up, mask_of = _covers_by_rank(perms)
 
     fibers: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(perms):
+    for p, i in index.items():
         fibers.setdefault(first_inversions(p), []).append(i)
 
     interval_bad: list[str] = []
     hook_bad: list[str] = []
     hook_total = 0
-    top_of = [0] * len(perms)
-    bottom_of = [0] * len(perms)
+    top_of, bottom_of = [0] * len(perms), [0] * len(perms)
     for fif, members in fibers.items():
         hooks = _hook_count(fif)
         hook_total += hooks
@@ -337,8 +332,7 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
             p = perms[min(reached ^ member_set)]
             interval_bad.append(f"fiber {fif} is not the interval [{bottom}, {top}] at {p}")
         for i in members:
-            top_of[i] = tm
-            bottom_of[i] = bm
+            top_of[i], bottom_of[i] = tm, bm
 
     if hook_total != math.factorial(n - 1):
         hook_bad.append(f"hook counts sum to {hook_total}, not {n - 1}!")

@@ -26,6 +26,7 @@ preorder by ``_index``; children tables are built by one loop over ids.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -393,17 +394,26 @@ def plane_trees(n: int) -> tuple[PlaneTree, ...]:
 
 def rooted_trees(n: int) -> tuple[PlaneTree, ...]:
     """Canonical representatives of unordered rooted trees on ``n`` vertices."""
-    distinct = {canonicalize(t) for t in plane_trees(n)}
-    return tuple(sorted(distinct, key=lambda t: (len(format_plane_tree(t)), format_plane_tree(t))))
+    distinct = {text: canon for canon, text in (_fold(t, iter, _canonical_with_key) for t in plane_trees(n))}
+    return tuple(distinct[text] for text in sorted(distinct, key=lambda text: (len(text), text)))
 
 
-def increasing_tree_shapes(n: int) -> Iterator[PlaneTree]:
-    """Shapes of all increasing trees on n labels, children by label: each
-    vertex 1..n-1 picks a parent among the smaller ones."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    for par in itertools.product(*(range(v) for v in range(1, n))):
-        yield tree_of_index(_children_table(par))
+def increasing_labelings(t: PlaneTree) -> int:
+    """The increasing trees of canonical shape ``t``, children unordered:
+    n! / (prod of subtree sizes * |Aut t|), |Aut t| the product of the
+    factorials of the runs of equal siblings.
+
+    >>> [increasing_labelings(t) for t in rooted_trees(4)]
+    [1, 1, 3, 1]
+    """
+    product = [1]
+
+    def combine(node: PlaneTree, sizes: list[int]) -> int:
+        size = 1 + sum(sizes)
+        product[0] *= size * math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(node))
+        return size
+
+    return math.factorial(_fold(t, iter, combine)) // product[0]
 
 
 def random_plane_tree(n: int, rng: random.Random) -> PlaneTree:

@@ -1,6 +1,7 @@
 """Tests for the lattice of prunings and its rank generating function."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -13,11 +14,24 @@ from treegamekit.lattice import (
 from treegamekit.perm import enumerate_fixing_one
 from treegamekit.poly import Poly
 from treegamekit.tree import (
-    increasing_tree_shapes,
+    _children_table,
+    canonicalize,
+    increasing_labelings,
     parse_plane_tree,
     plane_trees,
+    rooted_trees,
+    tree_of_index,
     vertex_count,
 )
+
+
+def increasing_tree_shapes(n):
+    """Shapes of all increasing trees on n labels, children by label: each
+    vertex 1..n-1 picks a parent among the smaller ones."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    for par in itertools.product(*(range(v) for v in range(1, n))):
+        yield tree_of_index(_children_table(par))
 
 
 def brute_prunings(t):
@@ -225,3 +239,12 @@ class TestPlacementCorrespondence:
                 total = total + rank_generating_function(shape)
             assert total == separator_weight_polynomial(n)
             assert total(-1) == census_by_stirling_sum(n)
+
+    def test_shape_weight_counts_increasing_trees(self):
+        # grouped by unordered shape, the (n - 1)! increasing trees fall
+        # into the classes of rooted_trees, each as large as its weight
+        for n in range(1, 9):
+            groups = Counter(canonicalize(shape) for shape in increasing_tree_shapes(n))
+            assert sorted(groups) == sorted(rooted_trees(n)), n
+            for shape in rooted_trees(n):
+                assert groups[shape] == increasing_labelings(shape), (n, shape)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from treegamekit.perm import (
     SeparatorPlacement,
+    _signed_placements,
     avoids,
     check_first_inversions,
     check_fixes_one,
@@ -486,6 +487,16 @@ class TestSeparatorPlacements:
     def test_signed_totals_match_census(self):
         for n in range(1, 8):
             assert signed_placement_total(n) == census_by_stirling_sum(n)
+
+    def test_transfer_matches_placement_signs(self):
+        # the transfer counts what summing over the placement objects does
+        for n in range(1, 9):
+            total = 0
+            for p in enumerate_fixing_one(n):
+                signs = sum(pl.sign for pl in separator_placements(p))
+                assert _signed_placements(p) == signs, p
+                total += signs
+            assert signed_placement_total(n) == total, n
 
     def test_signed_total_by_hand_n3(self):
         # 123 contributes 1-2+1, 132 contributes 1-1+1: total 1

@@ -18,8 +18,7 @@ from treegamekit.tamari import (
     ENUMERATION_LIMIT,
     Fiber,
     TamariElement,
-    _inversion_mask,
-    _up_covers,
+    _covers_by_rank,
     fiber,
     fiber_size,
     tamari_join,
@@ -116,6 +115,30 @@ def hook_product(t):
             product *= tail
         stack.extend(node)
     return product
+
+
+def _inversion_mask(p, pair_index):
+    mask = 0
+    n = len(p)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if p[i - 1] > p[j - 1]:
+                mask |= 1 << pair_index[i, j]
+    return mask
+
+
+def _up_covers(p):
+    """The weak-order up-covers of ``p`` among permutations fixing 1: for
+    each k in 2..n-1 standing left of k + 1, swap the two values."""
+    where = {v: i for i, v in enumerate(p)}
+    out = []
+    for k in range(2, len(p)):
+        i, j = where[k], where[k + 1]
+        if i < j:
+            q = list(p)
+            q[i], q[j] = k + 1, k
+            out.append(tuple(q))
+    return out
 
 
 def _verify_congruence_pairwise(n):
@@ -457,6 +480,17 @@ class TestCongruence:
                 covers = _up_covers(p)
                 assert len(covers) == len(set(covers))
                 assert set(covers) == one_more, p
+
+    def test_rank_indexed_covers_and_masks(self):
+        # the sweep's covers are the swapped tuples' indices, and its masks
+        # the inversion sets, in its bit layout: pair (i, j) at (i - 1) * n + j - 1
+        for n in range(1, 8):
+            perms = list(enumerate_fixing_one(n))
+            index = {p: i for i, p in enumerate(perms)}
+            pair_index = {(i, j): (i - 1) * n + j - 1 for i, j in itertools.combinations(range(1, n + 1), 2)}
+            up, mask_of = _covers_by_rank(perms)
+            assert up == [[index[q] for q in _up_covers(p)] for p in perms], n
+            assert mask_of == [_inversion_mask(p, pair_index) for p in perms], n
 
     def test_cover_closure_is_weak_order(self):
         for n in range(1, 7):

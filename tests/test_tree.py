@@ -22,7 +22,6 @@ from treegamekit.tree import (
     first_inversion_tree,
     format_labeled_tree,
     format_plane_tree,
-    increasing_tree_shapes,
     index_labeled_tree,
     index_tree,
     is_increasing,
@@ -38,6 +37,8 @@ from treegamekit.tree import (
     vertex_count,
     westpop_labeling,
 )
+
+from test_lattice import increasing_tree_shapes
 
 WORKED_PERM = (1, 6, 2, 3, 5, 7, 4)
 WORKED_SHAPE = (((),), (), ((), ()))
