@@ -2,15 +2,20 @@
 
 Every check recomputes one identity along two independent routes and
 reports a pass/fail record; the CLI turns any failure into exit code 1.
-Exhaustive parts are bounded by the configured size (further capped per
-check to keep the suite quick), sampled parts draw seeded random trees.
+Ten checks are rows of one table, ``ROUTES``, which holds their caps.  A
+route maps a size n (an exhaustive route) or one tree (a tree route) to
+the detail of its first failure, or to None.  ``_runner`` owns what the
+rows share: ``min(cfg.n, cap)``, the loop over sizes, or over rooted
+trees and then seeded samples, the early return and the pass detail.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,87 +56,58 @@ def _check_stirling_rows(cfg: VerifyConfig) -> CheckResult:
     return CheckResult(name, True, f"rows 0..{cfg.n}")
 
 
-def _check_separator_weight(cfg: VerifyConfig) -> CheckResult:
-    name = "separator-weight-identity"
-    n_max = min(cfg.n, 8)
-    for n in range(1, n_max + 1):
-        weights = {shape: tree.increasing_labelings(shape) for shape in tree.rooted_trees(n)}
-        if sum(weights.values()) != math.factorial(n - 1):
-            return CheckResult(name, False, f"n={n}: shape weights sum to {sum(weights.values())}, not {n - 1}!")
-        total = poly.ZERO
-        for shape, weight in weights.items():
-            total = total + poly.Poly((weight,)) * lattice.PruningLattice(shape).rank_polynomial()
-        if total != seq.separator_weight_polynomial(n):
-            return CheckResult(name, False, f"n={n}: {total} vs {seq.separator_weight_polynomial(n)}")
-    return CheckResult(name, True, f"rank polynomials sum correctly through n={n_max}")
+def _separator_weight(n: int) -> str | None:
+    weights = {shape: tree.increasing_labelings(shape) for shape in tree.rooted_trees(n)}
+    if sum(weights.values()) != math.factorial(n - 1):
+        return f"n={n}: shape weights sum to {sum(weights.values())}, not {n - 1}!"
+    total = poly.ZERO
+    for shape, weight in weights.items():
+        total = total + poly.Poly((weight,)) * lattice.PruningLattice(shape).rank_polynomial()
+    if total != seq.separator_weight_polynomial(n):
+        return f"n={n}: {total} vs {seq.separator_weight_polynomial(n)}"
 
 
-def _check_signed_placements(cfg: VerifyConfig) -> CheckResult:
-    name = "signed-placements"
-    n_max = min(cfg.n, 7)
-    for n in range(1, n_max + 1):
-        total = perm.signed_placement_total(n)
-        expected = seq.census_by_stirling_sum(n)
-        if total != expected:
-            return CheckResult(name, False, f"n={n}: signed total {total}, expected {expected}")
-    return CheckResult(name, True, f"signed totals match through n={n_max}")
+def _signed_placements(n: int) -> str | None:
+    total = perm.signed_placement_total(n)
+    expected = seq.census_by_stirling_sum(n)
+    return None if total == expected else f"n={n}: signed total {total}, expected {expected}"
 
 
-def _check_bijection_roundtrip(cfg: VerifyConfig) -> CheckResult:
-    name = "bijection-roundtrip"
-    n_max = min(cfg.n, 8)
-    for n in range(1, n_max + 1):
-        for p in perm.enumerate_fixing_one(n):
-            lt = tree.first_inversion_tree(p)
-            if tree.perm_from_increasing_tree(lt) != p:
-                return CheckResult(name, False, f"round trip fails at {p}")
-    return CheckResult(name, True, f"all permutations through n={n_max}")
+def _bijection_roundtrip(n: int) -> str | None:
+    for p in perm.enumerate_fixing_one(n):
+        if tree.perm_from_increasing_tree(tree.first_inversion_tree(p)) != p:
+            return f"round trip fails at {p}"
 
 
-def _check_pattern_bijections(cfg: VerifyConfig) -> CheckResult:
-    name = "pattern-bijections"
-    n_max = min(cfg.n, 8)
-    for n in range(1, n_max + 1):
-        shapes = tree.plane_trees(n)
-        east = {}
-        west = {}
-        for p in perm.enumerate_fixing_one(n):
-            shape = tree.plane_shape(tree.first_inversion_tree(p))
-            if perm.avoids(p, 213):
-                east.setdefault(shape, []).append(p)
-            if perm.avoids(p, 312):
-                west.setdefault(shape, []).append(p)
-        if len(east) != len(shapes) or any(len(v) != 1 for v in east.values()):
-            return CheckResult(name, False, f"213 avoiders do not match trees at n={n}")
-        if len(west) != len(shapes) or any(len(v) != 1 for v in west.values()):
-            return CheckResult(name, False, f"312 avoiders do not match trees at n={n}")
-        for shape in shapes:
-            top = tree.perm_from_increasing_tree(tree.eastpush_labeling(shape))
-            bottom = tree.perm_from_increasing_tree(tree.westpop_labeling(shape))
-            if east[shape] != [top] or west[shape] != [bottom]:
-                return CheckResult(name, False, f"stack labelings miss extremes at n={n}")
-    return CheckResult(name, True, f"labelings invert pattern classes through n={n_max}")
+def _pattern_bijections(n: int) -> str | None:
+    shapes = tree.plane_trees(n)
+    east, west = {}, {}
+    for p in perm.enumerate_fixing_one(n):
+        shape = tree.plane_shape(tree.first_inversion_tree(p))
+        if perm.avoids(p, 213):
+            east.setdefault(shape, []).append(p)
+        if perm.avoids(p, 312):
+            west.setdefault(shape, []).append(p)
+    if len(east) != len(shapes) or any(len(v) != 1 for v in east.values()):
+        return f"213 avoiders do not match trees at n={n}"
+    if len(west) != len(shapes) or any(len(v) != 1 for v in west.values()):
+        return f"312 avoiders do not match trees at n={n}"
+    for shape in shapes:
+        top = tree.perm_from_increasing_tree(tree.eastpush_labeling(shape))
+        bottom = tree.perm_from_increasing_tree(tree.westpop_labeling(shape))
+        if east[shape] != [top] or west[shape] != [bottom]:
+            return f"stack labelings miss extremes at n={n}"
 
 
-def _check_placement_iso(cfg: VerifyConfig) -> CheckResult:
-    name = "placements-lattice-iso"
-    n_max = min(cfg.n, 6)
-    for n in range(1, n_max + 1):
-        for p in perm.enumerate_fixing_one(n):
-            if not lattice.placements_match_prunings(p):
-                return CheckResult(name, False, f"isomorphism fails at {p}")
-    return CheckResult(name, True, f"all permutations through n={n_max}")
+def _placement_iso(n: int) -> str | None:
+    for p in perm.enumerate_fixing_one(n):
+        if not lattice.placements_match_prunings(p):
+            return f"isomorphism fails at {p}"
 
 
-def _check_congruence(cfg: VerifyConfig) -> CheckResult:
-    name = "congruence"
-    n_max = min(cfg.n, 7)
-    for n in range(1, n_max + 1):
-        rep = tamari.verify_congruence(n)
-        if not rep.ok:
-            detail = "; ".join(c.details for c in rep.checks if not c.passed)
-            return CheckResult(name, False, f"n={n}: {detail}")
-    return CheckResult(name, True, f"fibers, projections and hook counts through n={n_max}")
+def _congruence(n: int) -> str | None:
+    rep = tamari.verify_congruence(n)
+    return None if rep.ok else f"n={n}: " + "; ".join(c.details for c in rep.checks if not c.passed)
 
 
 def _quotient_rows(n: int):
@@ -152,78 +128,102 @@ def _quotient_rows(n: int):
     return elements, index, above, below
 
 
-def _check_join_meet(cfg: VerifyConfig) -> CheckResult:
-    name = "join-meet-bruteforce"
-    n_max = min(cfg.n, 6)
-    for n in range(1, n_max + 1):
-        elements, index, above, below = _quotient_rows(n)
-        for ia, a in enumerate(elements):
-            for ib, b in enumerate(elements):
-                uppers, lowers = above[ia] & above[ib], below[ia] & below[ib]
-                least = [k for k in lattice._bits(uppers) if uppers & ~above[k] == 0]
-                greatest = [k for k in lattice._bits(lowers) if lowers & ~below[k] == 0]
-                if len(least) != 1 or len(greatest) != 1:
-                    return CheckResult(name, False, f"not a lattice at n={n}")
-                if index[tamari.tamari_join(a, b).fif] != least[0]:
-                    return CheckResult(name, False, f"join mismatch at n={n}: {a.fif} vs {b.fif}")
-                if index[tamari.tamari_meet(a, b).fif] != greatest[0]:
-                    return CheckResult(name, False, f"meet mismatch at n={n}: {a.fif} vs {b.fif}")
-    return CheckResult(name, True, f"formulas match brute force through n={n_max}")
+def _join_meet(n: int) -> str | None:
+    elements, index, above, below = _quotient_rows(n)
+    for ia, a in enumerate(elements):
+        for ib, b in enumerate(elements):
+            uppers, lowers = above[ia] & above[ib], below[ia] & below[ib]
+            least = [k for k in lattice._bits(uppers) if uppers & ~above[k] == 0]
+            greatest = [k for k in lattice._bits(lowers) if lowers & ~below[k] == 0]
+            if len(least) != 1 or len(greatest) != 1:
+                return f"not a lattice at n={n}"
+            if index[tamari.tamari_join(a, b).fif] != least[0]:
+                return f"join mismatch at n={n}: {a.fif} vs {b.fif}"
+            if index[tamari.tamari_meet(a, b).fif] != greatest[0]:
+                return f"meet mismatch at n={n}: {a.fif} vs {b.fif}"
 
 
-def _sampled_trees(cfg: VerifyConfig, max_n: int) -> list:
-    rng = random.Random(cfg.seed)
-    return [tree.random_plane_tree(rng.randint(1, max_n), rng) for _ in range(cfg.samples)]
+def _pruning_sum(t) -> str | None:
+    if poly.game_polynomial(t) != poly.game_polynomial_from_prunings(t):
+        return f"routes disagree on {tree.format_plane_tree(t)}"
 
 
-def _check_pruning_sum(cfg: VerifyConfig) -> CheckResult:
-    name = "pruning-sum"
-    n_max = min(cfg.n, 9)
-    for n in range(1, n_max + 1):
-        for t in tree.rooted_trees(n):
-            if poly.game_polynomial(t) != poly.game_polynomial_from_prunings(t):
-                return CheckResult(name, False, f"routes disagree on {tree.format_plane_tree(t)}")
-    for t in _sampled_trees(cfg, 14):
-        if poly.game_polynomial(t) != poly.game_polynomial_from_prunings(t):
-            return CheckResult(name, False, f"routes disagree on {tree.format_plane_tree(t)}")
-    return CheckResult(name, True, f"exhaustive to {n_max} vertices plus {cfg.samples} samples")
+def _winner_sign(t) -> str | None:
+    value = poly.game_polynomial(t)(-1)
+    if value not in (0, 1):
+        return f"value at -1 is {value}"
+    if (value == 1) != (game.winner(t) is game.Winner.SECOND):
+        return f"sign test disagrees on {tree.format_plane_tree(t)}"
+    if game.winner(t) is not game.winner(tree.canonicalize(t)):
+        return f"winner not reorder-invariant on {tree.format_plane_tree(t)}"
 
 
-def _check_winner_sign(cfg: VerifyConfig) -> CheckResult:
-    name = "winner-sign"
-    for t in _sampled_trees(cfg, 12):
-        value = poly.game_polynomial(t)(-1)
-        if value not in (0, 1):
-            return CheckResult(name, False, f"value at -1 is {value}")
-        second = game.winner(t) is game.Winner.SECOND
-        if (value == 1) != second:
-            return CheckResult(name, False, f"sign test disagrees on {tree.format_plane_tree(t)}")
-        if game.winner(t) is not game.winner(tree.canonicalize(t)):
-            return CheckResult(name, False, f"winner not reorder-invariant on {tree.format_plane_tree(t)}")
-    return CheckResult(name, True, f"{cfg.samples} sampled trees")
+def _euler_data(t) -> str | None:
+    profiles = poly.pruning_profiles(t)
+    phi = poly.game_polynomial(t)
+    cells = len(profiles)
+    if geometry.euler_characteristic_complex(phi) != cells:
+        return f"cell count mismatch on {tree.format_plane_tree(t)}"
+    ranks = Counter(r for r, _, _ in profiles)
+    direct_real = sum(-count if r % 2 else count for r, count in ranks.items())
+    if geometry.euler_characteristic_real(phi) != direct_real:
+        return f"real characteristic mismatch on {tree.format_plane_tree(t)}"
+    if geometry.euler_characteristic_real(phi) != cells % 2:
+        return f"parity mismatch on {tree.format_plane_tree(t)}"
+    for q in (2, 3, 5):
+        direct = sum(count * q**r for r, count in ranks.items())
+        if geometry.point_count(phi, q) != direct:
+            return f"point count mismatch at q={q}"
+    if geometry.poincare_polynomial(phi)(1) != cells:
+        return f"poincare total mismatch on {tree.format_plane_tree(t)}"
 
 
-def _check_euler_data(cfg: VerifyConfig) -> CheckResult:
-    name = "euler-data"
-    for t in _sampled_trees(cfg, 12):
-        profiles = poly.pruning_profiles(t)
-        phi = poly.game_polynomial(t)
-        cells = len(profiles)
-        if geometry.euler_characteristic_complex(phi) != cells:
-            return CheckResult(name, False, f"cell count mismatch on {tree.format_plane_tree(t)}")
-        ranks = Counter(r for r, _, _ in profiles)
-        direct_real = sum(-count if r % 2 else count for r, count in ranks.items())
-        if geometry.euler_characteristic_real(phi) != direct_real:
-            return CheckResult(name, False, f"real characteristic mismatch on {tree.format_plane_tree(t)}")
-        if geometry.euler_characteristic_real(phi) != cells % 2:
-            return CheckResult(name, False, f"parity mismatch on {tree.format_plane_tree(t)}")
-        for q in (2, 3, 5):
-            direct = sum(count * q**r for r, count in ranks.items())
-            if geometry.point_count(phi, q) != direct:
-                return CheckResult(name, False, f"point count mismatch at q={q}")
-        if geometry.poincare_polynomial(phi)(1) != cells:
-            return CheckResult(name, False, f"poincare total mismatch on {tree.format_plane_tree(t)}")
-    return CheckResult(name, True, f"{cfg.samples} sampled trees, q in 2,3,5")
+@dataclass(frozen=True)
+class Route:
+    """A check's name, the largest size its exhaustive part reaches, its
+    route and its pass detail (``{n}`` the size reached, ``{samples}`` the
+    sample count); a tree route also sees samples of up to ``sample_max``."""
+
+    name: str
+    cap: int
+    route: Callable[..., str | None]
+    passed: str
+    sample_max: int = 0
+
+
+ROUTES = (
+    Route("separator-weight-identity", 8, _separator_weight, "rank polynomials sum correctly through n={n}"),
+    Route("signed-placements", 7, _signed_placements, "signed totals match through n={n}"),
+    Route("bijection-roundtrip", 8, _bijection_roundtrip, "all permutations through n={n}"),
+    Route("pattern-bijections", 8, _pattern_bijections, "labelings invert pattern classes through n={n}"),
+    Route("placements-lattice-iso", 6, _placement_iso, "all permutations through n={n}"),
+    Route("congruence", 7, _congruence, "fibers, projections and hook counts through n={n}"),
+    Route("join-meet-bruteforce", 6, _join_meet, "formulas match brute force through n={n}"),
+    Route("pruning-sum", 9, _pruning_sum, "exhaustive to {n} vertices plus {samples} samples", sample_max=14),
+    Route("winner-sign", 0, _winner_sign, "{samples} sampled trees", sample_max=12),
+    Route("euler-data", 0, _euler_data, "{samples} sampled trees, q in 2,3,5", sample_max=12),
+)
+
+
+def _runner(row: Route) -> Callable[[VerifyConfig], CheckResult]:
+    """The check that runs ``row``'s route until its first failure."""
+
+    def check(cfg: VerifyConfig) -> CheckResult:
+        n_max = min(cfg.n, row.cap)
+        cases = range(1, n_max + 1)
+        if row.sample_max:
+            rng = random.Random(cfg.seed)
+            cases = itertools.chain(
+                (t for n in cases for t in tree.rooted_trees(n)),
+                (tree.random_plane_tree(rng.randint(1, row.sample_max), rng) for _ in range(cfg.samples)),
+            )
+        for case in cases:
+            failure = row.route(case)
+            if failure is not None:
+                return CheckResult(row.name, False, failure)
+        return CheckResult(row.name, True, row.passed.format(n=n_max, samples=cfg.samples))
+
+    return check
 
 
 def _check_monte_carlo(cfg: VerifyConfig) -> CheckResult:
@@ -240,21 +240,7 @@ def _check_monte_carlo(cfg: VerifyConfig) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-ALL_CHECKS = (
-    _check_sequence_methods,
-    _check_stirling_rows,
-    _check_separator_weight,
-    _check_signed_placements,
-    _check_bijection_roundtrip,
-    _check_pattern_bijections,
-    _check_placement_iso,
-    _check_congruence,
-    _check_join_meet,
-    _check_pruning_sum,
-    _check_winner_sign,
-    _check_euler_data,
-    _check_monte_carlo,
-)
+ALL_CHECKS = (_check_sequence_methods, _check_stirling_rows, *map(_runner, ROUTES), _check_monte_carlo)
 
 
 def run_verify(cfg: VerifyConfig) -> list[CheckResult]:

@@ -337,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=seq.METHODS, default="stirling")
     p.add_argument("--all-methods", action="store_true")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; evaluation is serial either way")
 
     p = command("stirling", _handle_stirling, "unsigned Stirling numbers, first kind")
     p.add_argument("--n", type=int, required=True)
@@ -394,12 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = command("verify", _handle_verify, "run the cross-identity suite")
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--trials", type=int, default=20_000)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; evaluation is serial either way")
+    p.add_argument("--n", type=int, default=VerifyConfig.n)
+    p.add_argument("--seed", type=int, default=VerifyConfig.seed)
+    p.add_argument("--samples", type=int, default=VerifyConfig.samples)
+    p.add_argument("--trials", type=int, default=VerifyConfig.trials)
 
     return parser
 
@@ -410,9 +406,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         code, payload, lines = args.handler(args)
     except ValueError as exc:

@@ -1,6 +1,9 @@
 """Tests for the cross-identity suite and its reporting."""
 
-from treegamekit import checks, perm, tamari, tree
+import random
+import re
+
+from treegamekit import checks, game, perm, poly, tamari, tree
 from treegamekit.checks import ALL_CHECKS, VerifyConfig, run_verify
 from treegamekit.report import CheckResult, render_lines, results_json
 
@@ -65,17 +68,20 @@ class TestQuotientRows:
                 assert [bool(below[a] >> b & 1) for b in range(len(elements))] == [row[a] for row in leq], n
 
 
-def _run(check, n=5):
-    return check(VerifyConfig(n=n, samples=5, trials=200))
+def _result(name, n=5):
+    """The result that ``run_verify`` reports under ``name``."""
+    [result] = [r for r in run_verify(VerifyConfig(n=n, samples=5, trials=200)) if r.name == name]
+    return result
 
 
 class TestFaultInjection:
     """Each rewritten check fails once one of its routes is broken."""
 
     def test_checks_pass_unbroken(self):
-        for check in (checks._check_congruence, checks._check_join_meet,
-                      checks._check_separator_weight, checks._check_signed_placements):
-            assert _run(check).passed, check.__name__
+        results = {r.name: r for r in run_verify(VerifyConfig(n=5, samples=5, trials=200))}
+        for name in ("congruence", "join-meet-bruteforce", "separator-weight-identity", "signed-placements",
+                     "pruning-sum", "winner-sign"):
+            assert results[name].passed, results[name].line()
 
     def test_merged_fibers_fail_congruence(self, monkeypatch):
         real = tamari.first_inversions
@@ -84,19 +90,19 @@ class TestFaultInjection:
         report = tamari.verify_congruence(4)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed & {"fiber-interval", "fiber-hook-count"}
-        result = _run(checks._check_congruence)
+        result = _result("congruence")
         assert not result.passed and result.details.startswith("n=4: ")
 
     def test_join_swapped_for_meet_fails(self, monkeypatch):
         monkeypatch.setattr(tamari, "tamari_join", tamari.tamari_meet)
-        result = _run(checks._check_join_meet)
+        result = _result("join-meet-bruteforce")
         assert not result.passed and "join mismatch" in result.details
 
     def test_shape_weight_off_by_one_fails(self, monkeypatch):
         real = tree.increasing_labelings
         path = tree.rooted_trees(4)[0]
         monkeypatch.setattr(tree, "increasing_labelings", lambda t: real(t) + (t == path))
-        result = _run(checks._check_separator_weight)
+        result = _result("separator-weight-identity")
         assert not result.passed and result.details == "n=4: shape weights sum to 7, not 3!"
 
     def test_shifted_shape_weight_fails_the_polynomial(self, monkeypatch):
@@ -104,12 +110,107 @@ class TestFaultInjection:
         real = tree.increasing_labelings
         path, star = tree.rooted_trees(4)[0], tree.rooted_trees(4)[-1]
         monkeypatch.setattr(tree, "increasing_labelings", lambda t: real(t) + (t == path) - (t == star))
-        result = _run(checks._check_separator_weight)
+        result = _result("separator-weight-identity")
         assert not result.passed and result.details.startswith("n=4: ")
 
     def test_flipped_sign_fails_signed_placements(self, monkeypatch):
         real = perm._signed_placements
         assert real((1, 3, 2)) == 1
         monkeypatch.setattr(perm, "_signed_placements", lambda p: -real(p) if p == (1, 3, 2) else real(p))
-        result = _run(checks._check_signed_placements)
+        result = _result("signed-placements")
         assert not result.passed and result.details == "n=3: signed total -1, expected 1"
+
+    def test_wrong_pruning_route_fails_the_exhaustive_prefix(self, monkeypatch):
+        # pruning-sum walks every rooted tree through its cap before any sample
+        real = poly.game_polynomial_from_prunings
+        broken = tree.rooted_trees(4)[1]
+        monkeypatch.setattr(poly, "game_polynomial_from_prunings",
+                            lambda t: real(t) + poly.Poly((1,)) if t == broken else real(t))
+        result = _result("pruning-sum")
+        assert not result.passed and result.details == f"routes disagree on {tree.format_plane_tree(broken)}"
+        assert result.details == "routes disagree on ((() ()))"
+
+    def test_wrong_winner_fails_on_samples(self, monkeypatch):
+        # winner-sign has no exhaustive part: the first seeded sample fails it
+        real = game.winner
+        flipped = {game.Winner.FIRST: game.Winner.SECOND, game.Winner.SECOND: game.Winner.FIRST}
+        monkeypatch.setattr(game, "winner", lambda t: flipped[real(t)])
+        rng = random.Random(0)
+        first = tree.random_plane_tree(rng.randint(1, 12), rng)
+        result = _result("winner-sign")
+        assert not result.passed and result.details == f"sign test disagrees on {tree.format_plane_tree(first)}"
+
+
+class TestRunner:
+    """The one loop behind every row of the table."""
+
+    def test_exhaustive_route_stops_at_first_failure(self):
+        seen = []
+
+        def route(n):
+            seen.append(n)
+            return "broken at 2" if n == 2 else None
+
+        check = checks._runner(checks.Route("probe", 5, route, "through n={n}"))
+        assert check(VerifyConfig(n=7)) == CheckResult("probe", False, "broken at 2")
+        assert seen == [1, 2]
+
+    def test_exhaustive_route_pass_reads_the_capped_size(self):
+        seen = []
+        check = checks._runner(checks.Route("probe", 5, seen.append, "through n={n}"))
+        assert check(VerifyConfig(n=7)) == CheckResult("probe", True, "through n=5")
+        assert seen == [1, 2, 3, 4, 5]
+        assert check(VerifyConfig(n=3)).details == "through n=3"
+
+    def test_tree_route_sees_rooted_trees_then_samples(self):
+        seen = []
+        row = checks.Route("probe", 3, seen.append, "to {n} plus {samples}", sample_max=6)
+        assert checks._runner(row)(VerifyConfig(n=7, seed=4, samples=3)).details == "to 3 plus 3"
+        rng = random.Random(4)
+        samples = [tree.random_plane_tree(rng.randint(1, 6), rng) for _ in range(3)]
+        assert seen == [*tree.rooted_trees(1), *tree.rooted_trees(2), *tree.rooted_trees(3), *samples]
+
+    def test_tree_route_stops_at_first_failure(self):
+        seen = []
+
+        def route(t):
+            seen.append(t)
+            return "broken" if len(seen) == 2 else None
+
+        check = checks._runner(checks.Route("probe", 0, route, "{samples} samples", sample_max=12))
+        assert check(VerifyConfig(samples=50)) == CheckResult("probe", False, "broken")
+        assert len(seen) == 2
+
+
+class TestTable:
+    # perfbench/run.py keys its per-check timings by these names
+    NAMES = [
+        "sequence-methods",
+        "stirling-row-sums",
+        "separator-weight-identity",
+        "signed-placements",
+        "bijection-roundtrip",
+        "pattern-bijections",
+        "placements-lattice-iso",
+        "congruence",
+        "join-meet-bruteforce",
+        "pruning-sum",
+        "winner-sign",
+        "euler-data",
+        "monte-carlo",
+    ]
+
+    def test_names_in_order(self):
+        assert isinstance(ALL_CHECKS, tuple)
+        cfg = VerifyConfig(n=2, samples=1, trials=100)
+        assert [r.name for r in run_verify(cfg)] == self.NAMES
+        assert [row.name for row in checks.ROUTES] == self.NAMES[2:-1]
+
+    def test_pass_details_name_the_capped_size(self):
+        for n in (12, 3):
+            results = {r.name: r for r in run_verify(VerifyConfig(n=n, samples=1, trials=100))}
+            for row in checks.ROUTES:
+                if row.cap:
+                    result = results[row.name]
+                    assert result.passed, result.line()
+                    assert re.findall(r"\d+", result.details)[0] == str(min(n, row.cap)), result.line()

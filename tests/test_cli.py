@@ -14,6 +14,7 @@ import pytest
 
 import treegamekit
 from treegamekit import cli, tree
+from treegamekit.checks import VerifyConfig
 from treegamekit.cli import main
 from treegamekit.geometry import MR_PROVEN_BELOW
 from treegamekit.report import render_lines, results_json
@@ -553,6 +554,13 @@ class TestVerifyCommand:
         assert blob["ok"] is True
         assert len(blob["checks"]) >= 10
 
+    def test_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["verify"])
+        default = VerifyConfig()
+        assert (args.n, args.seed, args.samples, args.trials) == (
+            default.n, default.seed, default.samples, default.trials,
+        )
+
     def test_rejects_nonpositive_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("TGK_MAX_N", "-3")
         code, _, err = run(capsys, "verify", "--n", "3")
@@ -570,16 +578,12 @@ class TestHarness:
     def test_missing_command(self, capsys):
         assert main([]) == 2
 
-    def test_threads_flag_accepted(self, capsys):
-        code, out, _ = run(
-            capsys, "seq", "--n", "4", "--threads", "2"
-        )
-        assert code == 0
-
-    def test_threads_must_be_positive(self, capsys):
-        code, _, err = run(capsys, "seq", "--n", "4", "--threads", "0")
-        assert code == 2
-        assert "threads" in err
+    def test_threads_flag_rejected(self, capsys):
+        # evaluation is serial, so there is no --threads to pass
+        for command in ("seq", "verify"):
+            code, out, err = run(capsys, command, "--n", "4", "--threads", "2")
+            assert code == 2 and out == ""
+            assert "unrecognized arguments: --threads 2" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

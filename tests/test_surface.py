@@ -199,3 +199,43 @@ def test_every_definition_is_reached():
             if not reached and defn.name not in treegamekit.__all__ and defn.name not in UNREFERENCED_ALLOWED:
                 found.append(defn.name)
     assert found == []
+
+
+def _caps_outside_the_table(module):
+    """Lines where ``cfg.n`` meets an integer literal, in a comparison or
+    in a ``min`` or ``max`` call; a check's cap belongs in ``checks.ROUTES``."""
+
+    def is_size(expr):
+        return isinstance(expr, ast.Attribute) and expr.attr == "n" and _callee_name(expr.value) == "cfg"
+
+    def is_int(expr):
+        return isinstance(expr, ast.Constant) and type(expr.value) is int
+
+    for node in ast.walk(module):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and _callee_name(node.func) in ("min", "max"):
+            operands = node.args
+        else:
+            continue
+        if any(map(is_size, operands)) and any(map(is_int, operands)):
+            yield node.lineno
+
+
+def test_cap_detector():
+    source = """
+a = min(cfg.n, 8)
+b = max(3, cfg.n)
+if cfg.n > 9: pass
+c = 6 if 6 <= cfg.n else cfg.n
+d = min(cfg.n, row.cap)
+e = min(cfg.n, cfg.census_limit)
+f = cfg.n + 1
+g = min(other.n, 8)
+"""
+    assert sorted(_caps_outside_the_table(ast.parse(source))) == [2, 3, 4, 5]
+
+
+def test_check_caps_live_in_the_table():
+    path = Path(treegamekit.__file__).parent / "checks.py"
+    assert list(_caps_outside_the_table(ast.parse(path.read_text(), str(path)))) == []
