@@ -585,6 +585,12 @@ class TestHarness:
             assert code == 2 and out == ""
             assert "unrecognized arguments: --threads 2" in err
 
+    def test_threads_must_be_positive(self, capsys):
+        # no value of --threads is accepted, a nonpositive one included
+        code, out, err = run(capsys, "seq", "--n", "4", "--threads", "0")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --threads 0" in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "treegamekit", "gamma", "--perm", "1,3,2"],
