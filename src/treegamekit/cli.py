@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -82,7 +83,8 @@ def _exact_digits():
 # handlers
 #
 # Each returns (exit code, JSON payload, text lines).  A payload's echo of
-# the input tree is built only under --json, as text mode never prints it.
+# the input tree is built only under --json, as text mode never prints it,
+# and the text of a polynomial only without it, as JSON lists coefficients.
 
 
 def _handle_seq(args) -> Handled:
@@ -175,11 +177,11 @@ def _handle_phi(args) -> Handled:
         "coefficients": list(polynomial.coeffs),
     }
     with _exact_digits():
-        lines = [str(polynomial)]
+        lines = [] if args.json else [str(polynomial)]
         if q is not None:
-            value = polynomial(q)  # a Fraction, which prints as an int when it is one
+            value = str(polynomial(q))  # a Fraction, which prints as an int when it is one
             lines.append(f"value at q={q}: {value}")
-            payload["eval"] = {"q": str(q), "value": str(value)}
+            payload["eval"] = {"q": str(q), "value": value}
     return 0, payload, lines
 
 
@@ -267,7 +269,7 @@ def _handle_euler(args) -> Handled:
         "poincare": list(poincare.coeffs),
     }
     with _exact_digits():  # argparse has read --q under the limit
-        lines = [f"chi_real\t{chi_r}", f"chi_complex\t{chi_c}", f"poincare\t{poincare}"]
+        lines = [] if args.json else [f"chi_real\t{chi_r}", f"chi_complex\t{chi_c}", f"poincare\t{poincare}"]
         if args.q:
             points = {}
             for q in args.q:
@@ -318,7 +320,12 @@ def _handle_verify(args) -> Handled:
 # parser
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tgk`` parser, built on the first call and shared by every later
+    one in the process.  It takes no input, so it is a constant of the
+    program, and ``parse_args`` reads it without changing it: each call gets
+    a fresh namespace.  The cache holds this one parser and nothing else."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit one JSON document instead of text")

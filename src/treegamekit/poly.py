@@ -12,6 +12,41 @@ Nothing here recurses: the product and the pruning profiles are folded
 by the walker in ``tree``, and the event scans the preorder numbering,
 flipping coins in the order a depth-first walk would.
 
+The product route folds coefficient tuples, and ``_times`` does every
+multiplication in it.  When the shorter factor has at most
+``SCHOOLBOOK`` terms it multiplies term by term.  Otherwise it uses
+Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
+Algebra*; Harvey, J. Symbolic Comput. 2009): each factor is packed into
+one integer, coefficient j in bytes w*j to w*j + w - 1, the two integers
+are multiplied once by the interpreter's Karatsuba product, and the
+product's bytes are sliced back into coefficients.  A product
+coefficient adds at most len(shorter) terms a_i * b_j, so it is below
+2^(bits(max a) + bits(max b) + bits(len(shorter))); the width w is that
+many bits rounded up to whole bytes, and no coefficient reaches the
+next.  That holds only for nonnegative coefficients: a negative one
+would borrow from its neighbour, and the bytes would no longer be the
+coefficients.  Game polynomials have none; ``Poly.__mul__`` stays the
+general signed product.
+
+At each vertex the factors (1, *phi_k) are multiplied in pairs, level
+by level, so that a vertex with k leaves costs products of balanced
+lengths (where the packing pays) rather than k - 1 products of a
+growing factor with 1 + q.  ``SCHOOLBOOK`` is measured: ``game_polynomial``
+alone, each tree's time the least of 3 runs (30 for the pool), on 2 cores
+under Python 3.11.7, over the 60 shallow ``phi`` trees of the benchmark's
+``big-trees`` workload (seeds 321 and 322; 115-1659 vertices) and the
+128 trees of its ``small-queries`` pool (seed 0; 5-19 vertices):
+
+    SCHOOLBOOK   big-trees total   big-trees geo. mean   pool geo. mean
+         2           6.06 s            12.6 ms             37.5 us
+         4           4.78 s            10.3 ms             30.0 us
+         8           3.23 s             9.13 ms            27.9 us
+        16           2.52 s             9.13 ms            28.0 us
+        32           2.51 s             9.72 ms            28.1 us
+
+From 8 up no product in the pool is packed (its shorter factors have at
+most 9 terms).  16 ties 8 on the geometric mean, and 32 on the total.
+
 Text form is ascending with explicit carets, e.g. ``1 + 2*q + 3*q^2``;
 JSON form is the ascending coefficient list.
 """
@@ -22,11 +57,13 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable
 
 from .tree import PlaneTree, _fold, index_tree, vertex_count
 
 MATERIALIZE_LIMIT = 20
+SCHOOLBOOK = 16  # longest shorter factor multiplied term by term; measured, see above
 EVENT_DELTA = 1e-9
 
 
@@ -78,8 +115,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        if a == (1,):
-            return other
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -88,10 +123,20 @@ class Poly:
         return Poly(out)
 
     def __call__(self, x):
-        acc = 0
+        """Horner's rule.  At a Fraction a/b of degree d the pass runs in
+        integers, summing c_j * a^j * b^(d-j), and one Fraction divides
+        by b^d at the end: one gcd instead of one per coefficient."""
+        if not (isinstance(x, Fraction) and self.coeffs):
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * a + c * scale
+            scale *= b
+        return Fraction(acc, scale // b)
 
     def coefficient(self, d: int) -> int:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
@@ -129,6 +174,34 @@ ONE = Poly((1,))
 Q = Poly((0, 1))
 
 
+def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two nonempty coefficient tuples with nonnegative
+    entries: term by term when the shorter has at most ``SCHOOLBOOK``
+    terms, otherwise by Kronecker substitution (see the module docstring)."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= SCHOOLBOOK:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return tuple(out)
+    width = (max(a).bit_length() + max(b).bit_length() + len(a).bit_length() + 7) // 8
+    pack = lambda f: int.from_bytes(b"".join(c.to_bytes(width, "little") for c in f), "little")
+    digits = (pack(a) * pack(b)).to_bytes(width * (len(a) + len(b) - 1), "little")
+    return tuple(int.from_bytes(digits[i : i + width], "little") for i in range(0, len(digits), width))
+
+
+def _product(node: PlaneTree, phis: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The factors (1, *phi) multiplied pairwise, level by level."""
+    factors = [(1, *phi) for phi in phis]
+    while len(factors) > 1:
+        paired = [_times(a, b) for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[2 * len(paired) :]
+    return factors[0] if factors else (1,)
+
+
 def game_polynomial(t: PlaneTree) -> Poly:
     """Product over root subtrees, folded bottom up; each factor 1 + q*phi
     is phi's coefficients shifted up one place after a constant 1.
@@ -136,7 +209,7 @@ def game_polynomial(t: PlaneTree) -> Poly:
     >>> str(game_polynomial(((), ())))
     '1 + 2*q + q^2'
     """
-    return _fold(t, iter, lambda node, phis: math.prod((Poly((1, *phi.coeffs)) for phi in phis), start=ONE))
+    return Poly(_fold(t, iter, _product))
 
 
 def _pruning_count(node: PlaneTree, counts: list[int]) -> int:

@@ -30,13 +30,15 @@ bit at a time, in index order (``_covers_by_rank``).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .perm import (
     Perm,
     avoids,
+    check_first_inversions,
     enumerate_fixing_one,
     first_inversions,
 )
@@ -56,19 +58,25 @@ _NAMED = 10**20  # a refused fiber's count is named in full up to this
 
 @dataclass(frozen=True)
 class TamariElement:
-    """One lattice element: a first-inversion table with its plane tree."""
+    """One lattice element: a first-inversion table, which ``from_fif``
+    validates, and its plane tree, built from the table when first read
+    (join and meet read only tables)."""
 
     fif: tuple[int, ...]
-    tree: PlaneTree = field(compare=False)
 
     @classmethod
     def from_fif(cls, fif: Sequence[int]) -> "TamariElement":
-        fif = tuple(fif)
-        return cls(fif, tree_from_first_inversions(fif))
+        return cls(check_first_inversions(fif))
 
     @classmethod
     def from_tree(cls, tree: PlaneTree) -> "TamariElement":
-        return cls(fif_from_tree(tree), tree)
+        element = cls(fif_from_tree(tree))
+        element.__dict__["tree"] = tree  # what the cached property would build
+        return element
+
+    @functools.cached_property
+    def tree(self) -> PlaneTree:
+        return tree_from_first_inversions(self.fif)
 
     @property
     def size(self) -> int:

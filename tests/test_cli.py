@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import treegamekit
-from treegamekit import cli, tree
+from treegamekit import cli, poly, tree
 from treegamekit.checks import VerifyConfig
 from treegamekit.cli import main
 from treegamekit.geometry import MR_PROVEN_BELOW
@@ -481,6 +481,24 @@ class TestTextModeFormatting:
         assert json.loads(out)["tree"] == text
         assert formatted.count(given) == 1
 
+    # the payload lists a polynomial's coefficients, so --json never prints its text
+    POLYNOMIAL_COMMANDS = [
+        ["phi", "--tree", PLANE, "--eval=-1/2"],
+        ["phi", "--tree", PLANE, "--via", "prunings"],
+        ["euler", "--tree", PLANE, "--q", "2", "--q", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", POLYNOMIAL_COMMANDS, ids=["phi-eval", "phi-prunings", "euler"])
+    def test_polynomial_text_built_only_for_text(self, capsys, monkeypatch, argv):
+        written = []
+        real = poly.Poly.__str__
+        monkeypatch.setattr(poly.Poly, "__str__", lambda p: written.append(p) or real(p))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(written) == 1 and real(written[0]) in out
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0 and json.loads(out)["command"] == argv[0]
+        assert len(written) == 1
+
 
 class TestMonteCarlo:
     def test_deterministic(self, capsys):
@@ -590,6 +608,30 @@ class TestHarness:
         code, out, err = run(capsys, "seq", "--n", "4", "--threads", "0")
         assert code == 2 and out == ""
         assert "unrecognized arguments: --threads 0" in err
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, capsys):
+        # every main call in a process shares one parser; none may leave in
+        # it anything a later call sees, a parse error or a --json included
+        tree_text = "(() (() ()))"
+        sequence = [
+            ["--json", "phi", "--tree", tree_text, "--eval=-1/2"],
+            ["phi", "--tree", tree_text],
+            ["phi", "--json", "--tree", tree_text],
+            ["phi", "--tree", tree_text, "--via", "prunings"],
+            ["seq", "--n", "x"],
+            ["--json", "seq"],
+            ["seq", "--n", "6"],
+            ["euler", "--tree", tree_text, "--q", "4"],
+            ["euler", "--tree", tree_text],
+            ["verify", "--n", "3"],
+        ]
+        for argv in sequence:
+            got = run(capsys, *argv)
+            proc = subprocess.run([sys.executable, "-m", "treegamekit", *argv], capture_output=True, text=True)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
     def test_module_entry_point(self):
         proc = subprocess.run(

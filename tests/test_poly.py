@@ -1,5 +1,7 @@
 """Tests for integer polynomials, the game polynomial, and its event model."""
 
+import math
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -8,23 +10,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegamekit import lattice
+from treegamekit import lattice, poly
 from treegamekit.game import mover_loses
 from treegamekit.lattice import PruningLattice
 from treegamekit.poly import (
     MATERIALIZE_LIMIT,
     ONE,
     Q,
+    SCHOOLBOOK,
     ZERO,
     Poly,
+    _times,
     event_frequency,
     game_polynomial,
     game_polynomial_from_prunings,
     pruning_profiles,
 )
-from treegamekit.tree import parse_plane_tree, plane_trees, vertex_count
+from treegamekit.tree import _fold, parse_plane_tree, plane_trees, random_plane_tree, vertex_count
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=6)
+
+
+def product_oracle(t):
+    """The game polynomial as one ``Poly`` product after another: the
+    term-by-term signed product, factor by factor."""
+    return _fold(t, iter, lambda node, phis: math.prod((Poly((1, *phi.coeffs)) for phi in phis), start=ONE))
+
+
+def horner_oracle(p, x):
+    """Horner's rule in the arithmetic of ``x`` itself."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def path(n):
+    t = ()
+    for _ in range(n - 1):
+        t = (t,)
+    return t
+
+
+def caterpillar(spine, legs, rng):
+    """A path of ``spine`` vertices, each with up to ``legs`` leaves on either side."""
+    t = ()
+    for _ in range(spine):
+        left, right = rng.randrange(legs + 1), rng.randrange(legs + 1)
+        t = ((),) * left + (t,) + ((),) * right
+    return t
 
 
 class TestPolyArithmetic:
@@ -59,6 +93,23 @@ class TestPolyArithmetic:
         assert p(-1) == 2
         assert p(2) == 17
         assert p(Fraction(1, 2)) == Fraction(11, 4)
+
+    def test_eval_at_rationals_matches_fraction_horner(self):
+        # one integer pass and one Fraction at the end give the value, its
+        # type and its text that a Fraction per coefficient gives
+        rng = random.Random(5)
+        points = [Fraction(-1, 2), Fraction(0), Fraction(3), Fraction(-4), Fraction(-7, 3), Fraction(5, 12)]
+        polys = [ZERO, ONE, Poly((0, 0, 1)), Poly((-3,))]
+        polys += [Poly(rng.randint(-10**6, 10**6) for _ in range(rng.randrange(1, 40))) for _ in range(60)]
+        for p in polys:
+            for x in points:
+                got, want = p(x), horner_oracle(p, x)
+                assert got == want and type(got) is type(want) and str(got) == str(want), (p, x)
+
+    def test_eval_at_ints_and_floats_unchanged(self):
+        p = Poly((1, -2, 3))
+        assert type(p(3)) is int and p(3) == horner_oracle(p, 3)
+        assert type(p(0.5)) is float and p(0.5) == horner_oracle(p, 0.5)
 
     def test_hash_consistency(self):
         assert hash(Poly((1, 2, 0))) == hash(Poly((1, 2)))
@@ -165,6 +216,89 @@ class TestGamePolynomial:
         t_a = parse_plane_tree("((()) () (() ()))")
         t_b = parse_plane_tree("((() ()) (()) ())")
         assert game_polynomial(t_a) == game_polynomial(t_b)
+
+
+class TestTimes:
+    """``_times`` against the term-by-term product, on both sides of the
+    crossover and where the packed width is tightest."""
+
+    @staticmethod
+    def check(a, b):
+        a, b = tuple(a), tuple(b)
+        assert _times(a, b) == (Poly(a) * Poly(b)).coeffs == _times(b, a)
+
+    def test_both_sides_of_the_crossover(self):
+        rng = random.Random(11)
+        for short in (1, 2, SCHOOLBOOK - 1, SCHOOLBOOK, SCHOOLBOOK + 1, 2 * SCHOOLBOOK, 100):
+            for long in (short, short + 1, 3 * short + 7, 500):
+                for bits in (1, 7, 8, 9, 64, 300):
+                    a = [rng.randrange(1 << bits) for _ in range(short - 1)] + [rng.randrange(1, 1 << bits)]
+                    b = [rng.randrange(1 << bits) for _ in range(long - 1)] + [rng.randrange(1, 1 << bits)]
+                    self.check(a, b)
+
+    def test_byte_boundaries(self):
+        # all-ones products peak at the shorter length; entries 2^k - 1
+        # give products just under 2^(2k) times the length
+        for n in (SCHOOLBOOK + 1, 127, 128, 129, 255, 256, 257, 300):
+            self.check((1,) * n, (1,) * n)
+            self.check((1,) * n, (1,) * (n + 1))
+        for k in (7, 8, 9, 15, 16, 17, 31, 32, 33, 64):
+            for n in (SCHOOLBOOK + 1, 20, 255, 256, 257):
+                self.check((2**k - 1,) * n, (2**k - 1,) * n)
+                self.check((2**k - 1,) * n, (1,) * n)
+
+    def test_zeros_inside(self):
+        self.check((1,) + (0,) * 40 + (1,), (1, 0, 0, 5) * 10 + (2,))
+
+    def test_every_small_product_packed(self, monkeypatch):
+        # with no schoolbook range every product goes through the packing
+        monkeypatch.setattr(poly, "SCHOOLBOOK", 0)
+        for la in range(1, 7):
+            for lb in range(1, 7):
+                for top in (1, 2, 255, 256):
+                    self.check((top,) * la, range(1, lb + 1))
+        assert game_polynomial(((), (((),), ()), ())) == product_oracle(((), (((),), ()), ()))
+
+    def test_balanced_reduction(self, monkeypatch):
+        # a star's 64 factors 1 + q meet in pairs, level by level: every
+        # product multiplies two factors of one length, 63 in all
+        lengths = []
+
+        def recording(a, b):
+            lengths.append((len(a), len(b)))
+            return _times(a, b)
+
+        monkeypatch.setattr(poly, "_times", recording)
+        assert game_polynomial(((),) * 64) == Poly(math.comb(64, k) for k in range(65))
+        assert len(lengths) == 63
+        assert all(la == lb for la, lb in lengths), lengths
+
+
+class TestGamePolynomialAgainstOracle:
+    """``game_polynomial`` equals one ``Poly`` product after another."""
+
+    def test_every_small_plane_tree(self):
+        for n in range(1, 10):
+            for t in plane_trees(n):
+                assert game_polynomial(t) == product_oracle(t)
+
+    def test_stars_paths_and_caterpillars(self):
+        rng = random.Random(3)
+        for n in (2, 15, 16, 17, 33, 100, 257, 400):
+            assert game_polynomial(((),) * (n - 1)) == product_oracle(((),) * (n - 1))
+            assert game_polynomial(path(n)) == product_oracle(path(n))
+        for spine, legs in ((5, 3), (20, 8), (40, 4), (25, 7)):
+            t = caterpillar(spine, legs, rng)
+            assert vertex_count(t) <= 400
+            assert game_polynomial(t) == product_oracle(t)
+
+    def test_random_trees(self):
+        for n, seed in ((100, 0), (300, 1), (1000, 2), (1659, 3)):
+            t = random_plane_tree(n, random.Random(seed))
+            assert game_polynomial(t) == product_oracle(t)
+
+    def test_long_path_does_not_recurse(self):
+        assert game_polynomial(path(3000)) == Poly((1,) * 3000)
 
 
 class TestPruningProfiles:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from treegamekit import tamari
+from treegamekit import checks, tamari
 from treegamekit.perm import (
     avoids,
     enumerate_fixing_one,
@@ -219,6 +219,40 @@ class TestElements:
     def test_rejects_bad_table(self):
         with pytest.raises(ValueError):
             TamariElement.from_fif((4, 5, 5, 5))
+
+    def test_table_checked_before_any_tree_is_built(self, monkeypatch):
+        # the tree is built when read, so the table is validated up front
+        monkeypatch.setattr(tamari, "tree_from_first_inversions", None)
+        for bad in ((), (4, 5, 5, 5), (2, 5, 5, 5), (3, 5, 5, 4)):
+            with pytest.raises(ValueError):
+                TamariElement.from_fif(bad)
+
+    def test_join_and_meet_refuse_a_result_off_the_lattice(self):
+        # the constructor itself does not validate; join and meet do, eagerly
+        crossing = TamariElement((4, 5, 5, 5))
+        with pytest.raises(RuntimeError, match="pointwise minimum left the lattice"):
+            tamari_join(crossing, crossing)
+        with pytest.raises(RuntimeError, match="orbit meet left the lattice"):
+            tamari_meet(crossing, crossing)
+
+    def test_tree_is_built_from_the_table(self):
+        for t in plane_trees(6):
+            a = TamariElement.from_tree(t)
+            for b in (TamariElement.from_tree(u) for u in plane_trees(6)):
+                for e in (tamari_join(a, b), tamari_meet(a, b), TamariElement.from_fif(a.fif)):
+                    assert e.tree == tree_from_first_inversions(e.fif)
+                    assert e.tree is e.tree
+            assert a.tree is t
+
+    def test_join_meet_check_builds_no_tree(self, monkeypatch):
+        built = []
+        real = tamari.tree_from_first_inversions
+        monkeypatch.setattr(tamari, "tree_from_first_inversions", lambda fif: built.append(fif) or real(fif))
+        for n in range(1, 7):
+            assert checks._join_meet(n) is None
+        assert built == []
+        assert tamari_join(*[TamariElement.from_tree(t) for t in plane_trees(3)]).tree == real((3, 4, 4))
+        assert built == [(3, 4, 4)]
 
     def test_element_count_is_catalan(self):
         for n in range(1, 7):
