@@ -20,16 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import game, geometry, lattice, perm, poly, seq, tamari, tree
-from .report import CheckResult
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    n: int = 7
-    seed: int = 0
-    samples: int = 200
-    trials: int = 20000
-    census_limit: int = game.CENSUS_LIMIT
+from .report import CheckResult, VerifyConfig
 
 
 def _check_sequence_methods(cfg: VerifyConfig) -> CheckResult:
@@ -83,11 +74,13 @@ def _pattern_bijections(n: int) -> str | None:
     shapes = tree.plane_trees(n)
     east, west = {}, {}
     for p in perm.enumerate_fixing_one(n):
-        shape = tree.plane_shape(tree.first_inversion_tree(p))
-        if perm.avoids(p, 213):
-            east.setdefault(shape, []).append(p)
-        if perm.avoids(p, 312):
-            west.setdefault(shape, []).append(p)
+        in_east, in_west = perm.avoids(p, 213), perm.avoids(p, 312)
+        if in_east or in_west:  # only an avoider's shape is needed
+            shape = tree.plane_shape(tree.first_inversion_tree(p))
+            if in_east:
+                east.setdefault(shape, []).append(p)
+            if in_west:
+                west.setdefault(shape, []).append(p)
     if len(east) != len(shapes) or any(len(v) != 1 for v in east.values()):
         return f"213 avoiders do not match trees at n={n}"
     if len(west) != len(shapes) or any(len(v) != 1 for v in west.values()):

@@ -9,6 +9,11 @@ errors.  ``--json`` switches any invocation to a single JSON document.
 The environment variable ``TGK_MAX_N`` overrides the safety cap on the
 enumeration-heavy subcommands: the tree census and congruence checks
 refuse larger n, and a fiber with more than (TGK_MAX_N - 1)! members.
+
+A process loads only the modules its command runs.  ``tree``, ``perm`` and
+``report`` are imported here, as every job needs them; the other modules
+are bound below but load on their first attribute access, and the parser
+reads none of them but ``seq``, whose method names ``--method`` offers.
 """
 
 from __future__ import annotations
@@ -16,15 +21,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib.util
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import __version__, game, geometry, lattice, poly, seq, tamari, tree
-from .checks import VerifyConfig, run_verify
+from . import __version__, tree
 from .perm import avoids, format_permutation, parse_permutation
-from .report import render_lines, results_json
+from .report import VerifyConfig, render_lines, results_json
 from .tree import (
     format_labeled_tree,
     format_plane_tree,
@@ -33,6 +38,25 @@ from .tree import (
 )
 
 Handled = tuple[int, dict, list[str]]
+
+
+def _lazy(name: str):
+    """The package's module ``name``, as loaded already or else set to load
+    on its first attribute access (``importlib.util.LazyLoader``)."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+checks, game, geometry, lattice, poly, seq, tamari = map(
+    _lazy, ("checks", "game", "geometry", "lattice", "poly", "seq", "tamari")
+)
 
 
 def _env_cap(default: int) -> int:
@@ -240,7 +264,8 @@ def _handle_tamari_fiber(args) -> Handled:
     return 0, payload, lines
 
 
-def _handle_tamari_op(args, op) -> Handled:
+def _handle_tamari_op(args) -> Handled:
+    op = tamari.tamari_join if args.command == "tamari-join" else tamari.tamari_meet
     a = tamari.TamariElement.from_tree(parse_plane_tree(args.a))
     b = tamari.TamariElement.from_tree(parse_plane_tree(args.b))
     result = op(a, b)
@@ -308,7 +333,7 @@ def _handle_verify(args) -> Handled:
         trials=_positive("--trials", args.trials),
         census_limit=_env_cap(game.CENSUS_LIMIT),
     )
-    results = run_verify(cfg)
+    results = checks.run_verify(cfg)
     ok = all(r.passed for r in results)
     lines = render_lines(results)
     lines.append(f"VERIFY: {'PASS' if ok else 'FAIL'}")
@@ -379,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("tamari-fiber", _handle_tamari_fiber, "all permutations over a tree")
     p.add_argument("--tree", required=True)
 
-    for name, op in (("tamari-join", tamari.tamari_join), ("tamari-meet", tamari.tamari_meet)):
-        p = command(name, lambda args, op=op: _handle_tamari_op(args, op), f"{name.split('-')[1]} of two trees")
+    for name in ("tamari-join", "tamari-meet"):
+        p = command(name, _handle_tamari_op, f"{name.split('-')[1]} of two trees")
         p.add_argument("--a", required=True, metavar="TREE")
         p.add_argument("--b", required=True, metavar="TREE")
 

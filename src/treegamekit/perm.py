@@ -94,7 +94,12 @@ def first_inversions(p: Sequence[int]) -> tuple[int, ...]:
     >>> first_inversions((1, 6, 2, 3, 5, 7, 4))
     (3, 8, 8, 7, 7, 8, 8)
     """
-    p = check_fixes_one(p)
+    return _first_inversions(check_fixes_one(p))
+
+
+def _first_inversions(p: Perm) -> tuple[int, ...]:
+    """``first_inversions`` of a tuple already known to be a permutation
+    fixing 1, unchecked."""
     n = len(p)
     out = [n + 1] * n
     later: list[int] = []  # positions right of i, values rising up the stack

@@ -10,12 +10,14 @@ Agreement of all three is what the test suite leans on.
 
 Nothing here recurses: the product and the pruning profiles are folded
 by the walker in ``tree``, and the event scans the preorder numbering,
-flipping coins in the order a depth-first walk would.
+down for the coins and back up for the event, with all trials of a block
+side by side as the bits of Python ints.
 
 The product route folds coefficient tuples, and ``_times`` does every
 multiplication in it.  When the shorter factor has at most
-``SCHOOLBOOK`` terms it multiplies term by term.  Otherwise it uses
-Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
+``SCHOOLBOOK`` terms it multiplies term by term.  Otherwise, unless
+the coefficient sizes say otherwise (below), it uses Kronecker
+substitution (von zur Gathen and Gerhard, *Modern Computer
 Algebra*; Harvey, J. Symbolic Comput. 2009): each factor is packed into
 one integer, coefficient j in bytes w*j to w*j + w - 1, the two integers
 are multiplied once by the interpreter's Karatsuba product, and the
@@ -47,6 +49,27 @@ under Python 3.11.7, over the 60 shallow ``phi`` trees of the benchmark's
 From 8 up no product in the pool is packed (its shorter factors have at
 most 9 terms).  16 ties 8 on the geometric mean, and 32 on the total.
 
+Past ``SCHOOLBOOK`` the choice also weighs coefficient sizes, because
+packing pads every coefficient of both factors to the width w.  With
+l <= m the two lengths and d_a, d_b the interpreter's 30-bit digits in
+the largest coefficient of each factor, term by term costs about
+l * m * (160 + 2.5 * d_a * d_b) ns (a term's overhead and its digit
+products), and packing about 10 ns * (m / l) * (l * w / 30)^log2(3):
+the interpreter splits the longer integer into pieces of the shorter
+one's size and multiplies each pair by Karatsuba.  Both grow with m,
+so packing is chosen when (l * w / 30)^log2(3) < l^2 * (16 + d_a * d_b / 4).
+The constants were fitted to both methods' times (best of 3, same
+machine) on every product of those 60 trees, and on a grid of lengths
+17-250 and coefficient sizes 8-1000 bits on either side:
+
+    rule                  the 60 trees' 24,360 products   the grid
+    length alone                    2.75 s                 5.04 s
+    lengths and sizes               2.55 s                 4.79 s
+    the better per call             2.51 s                 4.60 s
+
+A factor of 17 terms of 9 bits times one of 1,643 terms of 1,071 bits
+takes 6.6 ms term by term and 23 ms packed; balanced sizes still pack.
+
 Text form is ascending with explicit carets, e.g. ``1 + 2*q + 3*q^2``;
 JSON form is the ascending coefficient list.
 """
@@ -64,7 +87,9 @@ from .tree import PlaneTree, _fold, index_tree, vertex_count
 
 MATERIALIZE_LIMIT = 20
 SCHOOLBOOK = 16  # longest shorter factor multiplied term by term; measured, see above
+KARATSUBA = math.log2(3)  # exponent of the interpreter's long multiplication
 EVENT_DELTA = 1e-9
+EVENT_BLOCK_BITS = 1 << 24  # vertices x lanes per block of event_frequency
 
 
 class Poly:
@@ -174,20 +199,30 @@ ONE = Poly((1,))
 Q = Poly((0, 1))
 
 
+def _width(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Bytes per coefficient when ``a``, the shorter factor with more than
+    ``SCHOOLBOOK`` terms, and ``b`` are multiplied packed, or 0 when term
+    by term is cheaper (see the module docstring)."""
+    bits_a, bits_b = max(a).bit_length(), max(b).bit_length()
+    width = (bits_a + bits_b + len(a).bit_length() + 7) // 8
+    digits = (bits_a + 29) // 30 * ((bits_b + 29) // 30)
+    packs = (len(a) * width * 8 / 30) ** KARATSUBA < len(a) ** 2 * (16 + digits / 4)
+    return width if packs else 0
+
+
 def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product of two nonempty coefficient tuples with nonnegative
-    entries: term by term when the shorter has at most ``SCHOOLBOOK``
-    terms, otherwise by Kronecker substitution (see the module docstring)."""
+    entries: packed when ``_width`` gives a width, otherwise term by term."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) <= SCHOOLBOOK:
+    width = len(a) > SCHOOLBOOK and _width(a, b)
+    if not width:
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b, i):
                     out[j] += ca * cb
         return tuple(out)
-    width = (max(a).bit_length() + max(b).bit_length() + len(a).bit_length() + 7) // 8
     pack = lambda f: int.from_bytes(b"".join(c.to_bytes(width, "little") for c in f), "little")
     digits = (pack(a) * pack(b)).to_bytes(width * (len(a) + len(b) - 1), "little")
     return tuple(int.from_bytes(digits[i : i + width], "little") for i in range(0, len(digits), width))
@@ -274,6 +309,28 @@ def game_polynomial_from_prunings(t: PlaneTree) -> Poly:
     return Poly(coeffs)
 
 
+def _below(draw, lanes: int, width: int, num: int, bits: int) -> int:
+    """The lanes set in ``lanes`` whose uniform number U = 0.u1u2..., read
+    one bit per lane per ``draw(width)``, lies below p = num / 2^bits: an
+    exact Bernoulli(p) draw per lane.  A lane is settled at its first bit
+    that differs from p's; the draws stop once every lane is, or once p has
+    no set bit left, when the lanes still open share p's prefix and so are
+    not below it."""
+    if num >> bits:  # p = 1
+        return lanes
+    below = 0
+    for k in range(bits - 1, -1, -1):
+        u = draw(width) & lanes
+        if num >> k & 1:
+            below |= lanes & ~u  # p's bit is 1 and the lane's is 0
+            lanes = u
+        else:
+            lanes &= ~u  # the lane's bit is 1 and p's is 0: above p
+        if not lanes:
+            break
+    return below
+
+
 def event_frequency(t: PlaneTree, q, trials: int = 100_000, seed: int = 0) -> float:
     """Empirical frequency of the coin-flip event whose probability is
     the game polynomial at ``q``.
@@ -282,33 +339,44 @@ def event_frequency(t: PlaneTree, q, trials: int = 100_000, seed: int = 0) -> fl
     vertex (heads with probability -q, so q must lie in [-1, 0]); heads
     visits the child.  The event holds when no visited child's own event
     holds, evaluated bottom up over the visited set.
+
+    The trials run side by side, one per bit ("lane") of a Python int.
+    In preorder, the lanes visiting a vertex are its parent's lanes whose
+    coin, drawn exactly by ``_below``, comes up heads; a subtree that no
+    lane visits is skipped.  Then, in reverse preorder, a vertex's event
+    holds on the lanes where no visited child's does.  Lanes go in blocks
+    of at most ``EVENT_BLOCK_BITS`` // vertices, so a block's two tables
+    of masks hold about 2 * ``EVENT_BLOCK_BITS`` = 2^25 bits (4 MiB),
+    however many the trials.
     """
     heads = float(-q)
     if not 0.0 <= heads <= 1.0:
         raise ValueError(f"q must lie in [-1, 0], got {q}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    rand = random.Random(seed).random
+    draw = random.Random(seed).getrandbits
+    num, den = heads.as_integer_ratio()
+    bits = den.bit_length() - 1
     idx = index_tree(t)
     n, parent = len(idx), idx.parent
     size = [1] * n
     for v in range(n - 1, 0, -1):
         size[parent[v]] += size[v]
+    block = max(1, EVENT_BLOCK_BITS // n)
     hits = 0
-    for _ in range(trials):
-        visited = []  # coins in preorder; tails skips the whole subtree
+    for first in range(0, trials, block):
+        width = min(block, trials - first)
+        visits = [0] * n
+        visits[0] = (1 << width) - 1
         v = 1
         while v < n:
-            if rand() < heads:
-                visited.append(v)
-                v += 1
-            else:
-                v += size[v]
-        spoiled = set()  # parents of visited vertices whose event holds
-        for u in reversed(visited):
-            if u not in spoiled:
-                spoiled.add(parent[u])
-        hits += 0 not in spoiled
+            visits[v] = _below(draw, visits[parent[v]], width, num, bits)
+            v += 1 if visits[v] else size[v]
+        spoiled = [0] * n  # lanes where some visited child's event holds
+        for v in range(n - 1, 0, -1):
+            if visits[v]:
+                spoiled[parent[v]] |= visits[v] & ~spoiled[v]
+        hits += width - spoiled[0].bit_count()
     return hits / trials
 
 

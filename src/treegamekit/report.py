@@ -1,8 +1,21 @@
-"""Small pass/fail records shared by the verification entry points."""
+"""Small pass/fail records shared by the verification entry points, and
+the settings of the verify suite, which the CLI's parser reads its
+defaults from without loading the suite."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .game import CENSUS_LIMIT
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    n: int = 7
+    seed: int = 0
+    samples: int = 200
+    trials: int = 20000
+    census_limit: int = CENSUS_LIMIT
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,10 @@ from typing import Sequence
 
 from .perm import (
     Perm,
+    _first_inversions,
     avoids,
     check_first_inversions,
     enumerate_fixing_one,
-    first_inversions,
 )
 from .report import CheckResult
 from .tree import (
@@ -306,7 +306,7 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
 
     fibers: dict[tuple[int, ...], list[int]] = {}
     for p, i in index.items():
-        fibers.setdefault(first_inversions(p), []).append(i)
+        fibers.setdefault(_first_inversions(p), []).append(i)  # p comes from enumerate_fixing_one
 
     interval_bad: list[str] = []
     hook_bad: list[str] = []

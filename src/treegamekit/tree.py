@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .perm import check_first_inversions, check_fixes_one, first_inversions
+from .perm import _first_inversions, check_first_inversions, check_fixes_one
 
 PlaneTree = tuple
 LabeledTree = tuple
@@ -241,7 +241,7 @@ def first_inversion_tree(p: Sequence[int]) -> LabeledTree:
     """
     p = check_fixes_one(p)
     n = len(p)
-    t = first_inversions(p)
+    t = _first_inversions(p)
     parents = [0] * n  # by value - 1, so children lists come out in label order
     for i in range(2, n + 1):
         ti = t[i - 2]

@@ -84,9 +84,9 @@ class TestFaultInjection:
             assert results[name].passed, results[name].line()
 
     def test_merged_fibers_fail_congruence(self, monkeypatch):
-        real = tamari.first_inversions
+        real = tamari._first_inversions
         star, other = real((1, 2, 3, 4)), real((1, 2, 4, 3))
-        monkeypatch.setattr(tamari, "first_inversions", lambda p: other if real(p) == star else real(p))
+        monkeypatch.setattr(tamari, "_first_inversions", lambda p: other if real(p) == star else real(p))
         report = tamari.verify_congruence(4)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed & {"fiber-interval", "fiber-hook-count"}

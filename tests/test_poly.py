@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegamekit import lattice, poly
-from treegamekit.game import mover_loses
+from treegamekit.game import Winner, mover_loses, winner
 from treegamekit.lattice import PruningLattice
 from treegamekit.poly import (
     MATERIALIZE_LIMIT,
@@ -21,7 +21,9 @@ from treegamekit.poly import (
     ZERO,
     Poly,
     _times,
+    _width,
     event_frequency,
+    event_tolerance,
     game_polynomial,
     game_polynomial_from_prunings,
     pruning_profiles,
@@ -259,6 +261,23 @@ class TestTimes:
                     self.check((top,) * la, range(1, lb + 1))
         assert game_polynomial(((), (((),), ()), ())) == product_oracle(((), (((),), ()), ()))
 
+    def test_sizes_choose_the_method(self):
+        # a short factor of small coefficients times a long one of large
+        # coefficients goes term by term, as packing would pad the short
+        # one to the large width; balanced sizes still pack
+        rng = random.Random(5)
+        short, long = SCHOOLBOOK + 1, 1643
+
+        def factor(n, bits):
+            return tuple(rng.randrange(1 << bits - 1, 1 << bits) for _ in range(n))
+
+        small, wide = factor(short, 9), factor(long, 1071)
+        assert _width(small, wide) == 0
+        assert _width(small, factor(long, 9)) > 0
+        assert _width(factor(short, 1071), wide) > 0
+        assert _width(factor(100, 64), factor(400, 64)) > 0
+        self.check(small, wide)
+
     def test_balanced_reduction(self, monkeypatch):
         # a star's 64 factors 1 + q meet in pairs, level by level: every
         # product multiplies two factors of one length, 63 in all
@@ -414,3 +433,38 @@ class TestEventFrequency:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             event_frequency((), 0, trials=0)
+
+    def test_extremes_are_exact(self):
+        # at q = 0 no coin comes up heads, and at q = -1 every coin does,
+        # so every trial plays the whole game: phi(-1) is 1 exactly when
+        # the second player wins
+        for n in range(1, 7):
+            for t in plane_trees(n):
+                assert event_frequency(t, 0, trials=50, seed=n) == 1.0
+                want = 1.0 if winner(t) is Winner.SECOND else 0.0
+                assert event_frequency(t, -1, trials=50, seed=n) == want
+
+    @pytest.mark.parametrize(
+        "text, q",
+        [("(() (() ()))", Fraction(-1, 2)), ("((()) () (() ()))", Fraction(-1, 3)), ("(((())) () (()))", Fraction(-7, 10))],
+    )
+    def test_mean_over_seeds_is_unbiased(self, text, q):
+        # the mean of 100 seeds' frequencies is one frequency over all
+        # their trials, so it lies within Hoeffding's epsilon of phi(q)
+        t = parse_plane_tree(text)
+        trials, seeds = 1000, 100
+        mean = sum(event_frequency(t, q, trials=trials, seed=s) for s in range(seeds)) / seeds
+        assert abs(mean - float(game_polynomial(t)(q))) <= event_tolerance(trials * seeds)
+
+    def test_blocks_bound_memory(self):
+        # a mask over all 10^5 trials for each of 2,000 leaves would take
+        # 2,000 x 10^5 bits = 25 MB; blocks of EVENT_BLOCK_BITS // 2,001
+        # lanes keep the masks to 2^24 bits = 2 MiB
+        star = ((),) * 2000
+        tracemalloc.start()
+        try:
+            assert event_frequency(star, Fraction(-1, 2), trials=100_000) == 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * poly.EVENT_BLOCK_BITS // 8  # bytes

@@ -1,10 +1,16 @@
 """The package's public names, pinned so that deleting code cannot drop
-one; the package's freedom from recursion, from unbounded caches and from
-module state; and that it holds no code that nothing reaches."""
+one, and resolved on first access; the modules each process loads; the
+package's freedom from recursion, from unbounded caches and from module
+state; and that it holds no code that nothing reaches."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import treegamekit
 
@@ -57,6 +63,70 @@ def test_all_is_pinned_and_resolves():
     assert treegamekit.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(treegamekit, name) is not None
+
+
+def _fresh(code: str, *args: str) -> str:
+    """Stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports the package from the same place as this one."""
+    env = dict(os.environ)
+    src = str(Path(treegamekit.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_star_import_binds_all():
+    out = _fresh("from treegamekit import *\nimport treegamekit\n"
+                 "print(all(globals()[n] is getattr(treegamekit, n) for n in treegamekit.__all__))")
+    assert out == "True\n"
+
+
+def test_submodule_after_a_bare_import():
+    out = _fresh("import treegamekit\nprint(treegamekit.poly.Poly((1, 1)))")
+    assert out == "1 + q\n"
+
+
+def test_resolved_name_is_bound():
+    out = _fresh("import treegamekit\nassert 'winner' not in vars(treegamekit)\nwinner = treegamekit.winner\n"
+                 "print(vars(treegamekit).get('winner') is winner is treegamekit.game.winner)")
+    assert out == "True\n"
+
+
+def test_unknown_attribute():
+    with pytest.raises(AttributeError, match="module 'treegamekit' has no attribute 'nonesuch'"):
+        treegamekit.nonesuch
+    assert not hasattr(treegamekit, "__nonesuch__")
+
+
+# Modules a process must not load, by what it runs: an import of the
+# package and its CLI, or a tgk command.
+NOT_LOADED = {
+    "": {"checks", "geometry", "lattice", "poly", "seq", "tamari"},
+    "seq --n 3": {"checks", "geometry", "lattice", "tamari"},
+    "tamari-verify --n 3": {"checks", "geometry", "lattice"},
+    "phi --tree (())": {"checks", "lattice", "tamari"},
+}
+# The package modules whose code has run: a module set to load lazily is in
+# sys.modules before it runs, and its __dict__ is read without loading it.
+LOADED = """
+import sys, treegamekit, treegamekit.cli
+argv = sys.argv[1:]
+if argv:
+    import contextlib, io
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert treegamekit.cli.main(argv) == 0
+print(" ".join(sorted(name.rpartition(".")[2] for name, module in list(sys.modules.items())
+                      if name.startswith("treegamekit.")
+                      and "__builtins__" in object.__getattribute__(module, "__dict__"))))
+"""
+
+
+@pytest.mark.parametrize("argv", sorted(NOT_LOADED), ids=lambda argv: argv or "import")
+def test_each_process_loads_only_what_it_runs(argv):
+    loaded = set(_fresh(LOADED, *argv.split()).split())
+    assert {"cli", "perm", "report", "tree"} <= loaded
+    assert loaded.isdisjoint(NOT_LOADED[argv]), loaded & NOT_LOADED[argv]
 
 
 # Functions allowed to call themselves, each with the reason.
@@ -171,6 +241,7 @@ def test_no_global_statement():
 UNREFERENCED_ALLOWED = {
     "fiber_size": "the hook-length count of a fiber, library API beside fiber",
     "is_increasing": "the predicate perm_from_increasing_tree checks, library API",
+    "__getattr__": "called by the interpreter (PEP 562)",
 }
 
 
