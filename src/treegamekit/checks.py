@@ -16,8 +16,8 @@ import math
 import random
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import game, geometry, lattice, perm, poly, seq, tamari, tree
 from .report import CheckResult, VerifyConfig
@@ -171,8 +171,7 @@ def _euler_data(t) -> str | None:
         return f"poincare total mismatch on {tree.format_plane_tree(t)}"
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """A check's name, the largest size its exhaustive part reaches, its
     route and its pass detail (``{n}`` the size reached, ``{samples}`` the
     sample count); a tree route also sees samples of up to ``sample_max``."""

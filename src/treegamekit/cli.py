@@ -424,10 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = command("verify", _handle_verify, "run the cross-identity suite")
-    p.add_argument("--n", type=int, default=VerifyConfig.n)
-    p.add_argument("--seed", type=int, default=VerifyConfig.seed)
-    p.add_argument("--samples", type=int, default=VerifyConfig.samples)
-    p.add_argument("--trials", type=int, default=VerifyConfig.trials)
+    defaults = VerifyConfig()
+    p.add_argument("--n", type=int, default=defaults.n)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--samples", type=int, default=defaults.samples)
+    p.add_argument("--trials", type=int, default=defaults.trials)
 
     return parser
 

@@ -44,7 +44,7 @@ def _subtree_masks(idx: TreeIndex) -> list[int]:
     """Every pruning's mask, built over descending preorder ids: a vertex's
     bit joined with one choice per child, nothing or one of the child's."""
     below: dict[int, list[int]] = {}
-    for v in range(len(idx) - 1, -1, -1):
+    for v in range(len(idx.parent) - 1, -1, -1):
         options = [(0, *below.pop(c)) for c in idx.children[v]]
         below[v] = [(1 << v) | sum(combo) for combo in itertools.product(*options)]
     return below[0]
@@ -98,22 +98,10 @@ class PruningLattice:
             out |= self._childmask[v]
         return out & ~mask
 
-    def cover_count(self, mask: int) -> int:
-        """Number of prunings covering ``mask`` (one per frontier vertex)."""
-        if mask not in self._members:
-            raise ValueError("mask is not a pruning of the base tree")
-        return self.frontier(mask).bit_count()
-
     def covers_above(self, mask: int) -> list[int]:
         if mask not in self._members:
             raise ValueError("mask is not a pruning of the base tree")
         return sorted(mask | (1 << v) for v in _bits(self.frontier(mask)))
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def meet(self, a: int, b: int) -> int:
-        return a & b
 
     def rank_histogram(self) -> list[int]:
         out = [0] * self.size

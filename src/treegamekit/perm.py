@@ -26,8 +26,7 @@ value exceeds the block's first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
 
@@ -183,8 +182,7 @@ def enumerate_fixing_one(n: int) -> Iterator[Perm]:
         yield (1, *rest)
 
 
-@dataclass(frozen=True)
-class SeparatorPlacement:
+class SeparatorPlacement(NamedTuple):
     """A valid cut of a permutation into blocks, signed by cut parity.
 
     ``separators`` holds the positions a block starts at (a subset of

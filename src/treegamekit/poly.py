@@ -15,9 +15,8 @@ side by side as the bits of Python ints.
 
 The product route folds coefficient tuples, and ``_times`` does every
 multiplication in it.  When the shorter factor has at most
-``SCHOOLBOOK`` terms it multiplies term by term.  Otherwise, unless
-the coefficient sizes say otherwise (below), it uses Kronecker
-substitution (von zur Gathen and Gerhard, *Modern Computer
+``SCHOOLBOOK`` terms it multiplies term by term.  Otherwise it uses
+Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
 Algebra*; Harvey, J. Symbolic Comput. 2009): each factor is packed into
 one integer, coefficient j in bytes w*j to w*j + w - 1, the two integers
 are multiplied once by the interpreter's Karatsuba product, and the
@@ -49,27 +48,6 @@ under Python 3.11.7, over the 60 shallow ``phi`` trees of the benchmark's
 From 8 up no product in the pool is packed (its shorter factors have at
 most 9 terms).  16 ties 8 on the geometric mean, and 32 on the total.
 
-Past ``SCHOOLBOOK`` the choice also weighs coefficient sizes, because
-packing pads every coefficient of both factors to the width w.  With
-l <= m the two lengths and d_a, d_b the interpreter's 30-bit digits in
-the largest coefficient of each factor, term by term costs about
-l * m * (160 + 2.5 * d_a * d_b) ns (a term's overhead and its digit
-products), and packing about 10 ns * (m / l) * (l * w / 30)^log2(3):
-the interpreter splits the longer integer into pieces of the shorter
-one's size and multiplies each pair by Karatsuba.  Both grow with m,
-so packing is chosen when (l * w / 30)^log2(3) < l^2 * (16 + d_a * d_b / 4).
-The constants were fitted to both methods' times (best of 3, same
-machine) on every product of those 60 trees, and on a grid of lengths
-17-250 and coefficient sizes 8-1000 bits on either side:
-
-    rule                  the 60 trees' 24,360 products   the grid
-    length alone                    2.75 s                 5.04 s
-    lengths and sizes               2.55 s                 4.79 s
-    the better per call             2.51 s                 4.60 s
-
-A factor of 17 terms of 9 bits times one of 1,643 terms of 1,071 bits
-takes 6.6 ms term by term and 23 ms packed; balanced sizes still pack.
-
 Text form is ascending with explicit carets, e.g. ``1 + 2*q + 3*q^2``;
 JSON form is the ascending coefficient list.
 """
@@ -87,7 +65,6 @@ from .tree import PlaneTree, _fold, index_tree, vertex_count
 
 MATERIALIZE_LIMIT = 20
 SCHOOLBOOK = 16  # longest shorter factor multiplied term by term; measured, see above
-KARATSUBA = math.log2(3)  # exponent of the interpreter's long multiplication
 EVENT_DELTA = 1e-9
 EVENT_BLOCK_BITS = 1 << 24  # vertices x lanes per block of event_frequency
 
@@ -106,11 +83,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -163,9 +135,6 @@ class Poly:
             scale *= b
         return Fraction(acc, scale // b)
 
-    def coefficient(self, d: int) -> int:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
-
     def substitute_q_squared(self) -> "Poly":
         out = [0] * (2 * len(self.coeffs))
         for d, c in enumerate(self.coeffs):
@@ -199,30 +168,20 @@ ONE = Poly((1,))
 Q = Poly((0, 1))
 
 
-def _width(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Bytes per coefficient when ``a``, the shorter factor with more than
-    ``SCHOOLBOOK`` terms, and ``b`` are multiplied packed, or 0 when term
-    by term is cheaper (see the module docstring)."""
-    bits_a, bits_b = max(a).bit_length(), max(b).bit_length()
-    width = (bits_a + bits_b + len(a).bit_length() + 7) // 8
-    digits = (bits_a + 29) // 30 * ((bits_b + 29) // 30)
-    packs = (len(a) * width * 8 / 30) ** KARATSUBA < len(a) ** 2 * (16 + digits / 4)
-    return width if packs else 0
-
-
 def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product of two nonempty coefficient tuples with nonnegative
-    entries: packed when ``_width`` gives a width, otherwise term by term."""
+    entries: term by term when the shorter has at most ``SCHOOLBOOK``
+    terms, otherwise by Kronecker substitution (see the module docstring)."""
     if len(a) > len(b):
         a, b = b, a
-    width = len(a) > SCHOOLBOOK and _width(a, b)
-    if not width:
+    if len(a) <= SCHOOLBOOK:
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b, i):
                     out[j] += ca * cb
         return tuple(out)
+    width = (max(a).bit_length() + max(b).bit_length() + len(a).bit_length() + 7) // 8
     pack = lambda f: int.from_bytes(b"".join(c.to_bytes(width, "little") for c in f), "little")
     digits = (pack(a) * pack(b)).to_bytes(width * (len(a) + len(b) - 1), "little")
     return tuple(int.from_bytes(digits[i : i + width], "little") for i in range(0, len(digits), width))
@@ -358,7 +317,7 @@ def event_frequency(t: PlaneTree, q, trials: int = 100_000, seed: int = 0) -> fl
     num, den = heads.as_integer_ratio()
     bits = den.bit_length() - 1
     idx = index_tree(t)
-    n, parent = len(idx), idx.parent
+    n, parent = len(idx.parent), idx.parent
     size = [1] * n
     for v in range(n - 1, 0, -1):
         size[parent[v]] += size[v]

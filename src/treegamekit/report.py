@@ -4,13 +4,12 @@ defaults from without loading the suite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .game import CENSUS_LIMIT
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     n: int = 7
     seed: int = 0
     samples: int = 200
@@ -18,8 +17,7 @@ class VerifyConfig:
     census_limit: int = CENSUS_LIMIT
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str = ""

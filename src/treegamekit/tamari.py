@@ -30,10 +30,8 @@ bit at a time, in index order (``_covers_by_rank``).
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .perm import (
     Perm,
@@ -56,10 +54,9 @@ ENUMERATION_LIMIT = 8
 _NAMED = 10**20  # a refused fiber's count is named in full up to this
 
 
-@dataclass(frozen=True)
-class TamariElement:
+class TamariElement(NamedTuple):
     """One lattice element: a first-inversion table, which ``from_fif``
-    validates, and its plane tree, built from the table when first read
+    validates, and its plane tree, built from the table on each read
     (join and meet read only tables)."""
 
     fif: tuple[int, ...]
@@ -70,11 +67,9 @@ class TamariElement:
 
     @classmethod
     def from_tree(cls, tree: PlaneTree) -> "TamariElement":
-        element = cls(fif_from_tree(tree))
-        element.__dict__["tree"] = tree  # what the cached property would build
-        return element
+        return cls(fif_from_tree(tree))
 
-    @functools.cached_property
+    @property
     def tree(self) -> PlaneTree:
         return tree_from_first_inversions(self.fif)
 
@@ -122,8 +117,7 @@ def tamari_leq(a: TamariElement, b: TamariElement) -> bool:
     return tamari_join(a, b) == b
 
 
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(NamedTuple):
     """All permutations whose first-inversion tree has a given shape."""
 
     tree: PlaneTree
@@ -254,8 +248,7 @@ def fiber(tree: PlaneTree, limit: int = ENUMERATION_LIMIT) -> Fiber:
 # congruence verification
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     n: int
     checks: tuple[CheckResult, ...]
 

@@ -29,9 +29,8 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .perm import _first_inversions, check_first_inversions, check_fixes_one
 
@@ -170,15 +169,11 @@ def vertex_count(t: PlaneTree) -> int:
     return len(subtrees)
 
 
-@dataclass(frozen=True)
-class TreeIndex:
+class TreeIndex(NamedTuple):
     """A plane tree flattened over preorder vertex ids (root is 0)."""
 
     parent: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.parent)
 
 
 def _index(root, children: Callable) -> tuple[TreeIndex, list]:
@@ -298,7 +293,7 @@ def eastpush_labeling(t: PlaneTree) -> LabeledTree:
     '1(2(7) 3 4(5 6))'
     """
     idx = index_tree(t)
-    labels = [0] * len(idx)
+    labels = [0] * len(idx.parent)
     labels[0] = 1
     counter = 2
     stack = [0]
@@ -320,7 +315,7 @@ def westpop_labeling(t: PlaneTree) -> LabeledTree:
     '1(2(3) 4 5(6 7))'
     """
     idx = index_tree(t)
-    return tree_of_index(idx.children, range(1, len(idx) + 1))
+    return tree_of_index(idx.children, range(1, len(idx.parent) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_acceptance_polynomial_identities():
     t3 = parse_plane_tree("((((() ()))) ((() () ())))")
     p3 = game_polynomial(t3)
     assert p3 == game_polynomial_from_prunings(t3)
-    coeffs = [p3.coefficient(d) for d in range(p3.degree + 1)]
+    coeffs = list(p3.coeffs)
     assert coeffs == [1, 2, 3, 6, 10, 11, 10, 11, 10, 5, 1]
     assert coeffs[5] > coeffs[6] < coeffs[7]
     report("polynomial-identities", started, 10)

@@ -39,7 +39,7 @@ def brute_prunings(t):
     from treegamekit.tree import index_tree
 
     idx = index_tree(t)
-    n = len(idx)
+    n = len(idx.parent)
     out = set()
     for bits in range(1 << n):
         if not bits & 1:
@@ -102,7 +102,6 @@ class TestCovers:
         # vertices in preorder: root 0, leaf 1, inner 2 with leaves 3, 4
         mask = 0b01101
         assert mask in lat
-        assert lat.cover_count(mask) == 2
         assert lat.covers_above(mask) == [0b01111, 0b11101]
 
     def test_cover_relation_is_rank_plus_one(self):
@@ -128,12 +127,12 @@ class TestCovers:
 
     def test_top_covers_nothing_above(self):
         lat = PruningLattice(WORKED)
-        assert lat.cover_count(lat.top) == 0
+        assert len(lat.covers_above(lat.top)) == 0
 
     def test_rejects_non_member(self):
         lat = PruningLattice(WORKED)
         with pytest.raises(ValueError):
-            lat.cover_count(0b10)
+            lat.covers_above(0b10)
         with pytest.raises(ValueError):
             lat.covers_above(0)
 
@@ -149,22 +148,22 @@ class TestJoinMeet:
                 assert (a & b) in member_set
 
     def test_join_meet_are_bounds(self):
+        # ordered by mask containment, the prunings' least upper bound is
+        # a | b and their greatest lower bound a & b
         for t in plane_trees(6):
-            lat = PruningLattice(t)
-            for a, b in itertools.combinations(list(lat), 2):
-                j = lat.join(a, b)
-                m = lat.meet(a, b)
-                assert a & j == a and b & j == b
-                assert m & a == m and m & b == m
+            members = list(PruningLattice(t))
+            for a, b in itertools.combinations(members, 2):
+                uppers = [u for u in members if u & a == a and u & b == b]
+                lowers = [m for m in members if m & a == m and m & b == m]
+                assert a | b in uppers and all(u & (a | b) == a | b for u in uppers)
+                assert a & b in lowers and all(m & (a & b) == m for m in lowers)
 
     def test_distributive(self):
         for t in plane_trees(6):
             lat = PruningLattice(t)
             members = list(lat)
             for a, b, c in itertools.product(members, repeat=3):
-                assert lat.meet(a, lat.join(b, c)) == lat.join(
-                    lat.meet(a, b), lat.meet(a, c)
-                )
+                assert a & (b | c) == (a & b) | (a & c)
 
 
 class TestRankGeneratingFunction:

@@ -107,8 +107,10 @@ NOT_LOADED = {
     "tamari-verify --n 3": {"checks", "geometry", "lattice"},
     "phi --tree (())": {"checks", "lattice", "tamari"},
 }
-# The package modules whose code has run: a module set to load lazily is in
-# sys.modules before it runs, and its __dict__ is read without loading it.
+# Line 1: the package modules whose code has run (a module set to load
+# lazily is in sys.modules before it runs, and its __dict__ is read without
+# loading it).  Line 2: which of dataclasses and the modules it imports,
+# inspect, ast and dis, are loaded.
 LOADED = """
 import sys, treegamekit, treegamekit.cli
 argv = sys.argv[1:]
@@ -119,14 +121,23 @@ if argv:
 print(" ".join(sorted(name.rpartition(".")[2] for name, module in list(sys.modules.items())
                       if name.startswith("treegamekit.")
                       and "__builtins__" in object.__getattribute__(module, "__dict__"))))
+print(*(name for name in ("dataclasses", "inspect", "ast", "dis") if name in sys.modules))
 """
 
 
 @pytest.mark.parametrize("argv", sorted(NOT_LOADED), ids=lambda argv: argv or "import")
 def test_each_process_loads_only_what_it_runs(argv):
-    loaded = set(_fresh(LOADED, *argv.split()).split())
+    loaded = set(_fresh(LOADED, *argv.split()).splitlines()[0].split())
     assert {"cli", "perm", "report", "tree"} <= loaded
     assert loaded.isdisjoint(NOT_LOADED[argv]), loaded & NOT_LOADED[argv]
+
+
+@pytest.mark.parametrize("argv", ["", "phi --tree (())", "tamari-verify --n 3", "verify --n 3"],
+                         ids=lambda argv: argv or "import")
+def test_no_process_loads_dataclasses(argv):
+    # the package's records are NamedTuples: typing, which every process
+    # loads anyway, builds them without inspect, ast or dis
+    assert _fresh(LOADED, *argv.split()).splitlines()[1] == ""
 
 
 # Functions allowed to call themselves, each with the reason.
@@ -237,11 +248,13 @@ def test_no_global_statement():
 
 
 # Module-level functions and classes that nothing in the package uses and
-# that are not exported, each with the reason it stays.
+# that are not exported, and methods that nothing in the package calls,
+# each with the reason it stays.
 UNREFERENCED_ALLOWED = {
     "fiber_size": "the hook-length count of a fiber, library API beside fiber",
     "is_increasing": "the predicate perm_from_increasing_tree checks, library API",
     "__getattr__": "called by the interpreter (PEP 562)",
+    "PruningLattice.covers_above": "called by perfbench/harness.py make_api",
 }
 
 
@@ -255,20 +268,33 @@ def _names(tree):
 
 
 def test_every_definition_is_reached():
-    # a module-level def or class must be named somewhere in the package
-    # outside its own body, or be in __all__; code that only tests reach
-    # belongs in the tests
+    # a module-level def or class, and a method other than a dunder, must
+    # be named somewhere in the package outside its own body; a module-level
+    # name in __all__ counts as reached.  Code that only tests reach belongs
+    # in the tests.
     package = Path(treegamekit.__file__).parent
     modules = [ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))]
     uses = Counter(name for module in modules for name in _names(module))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def reached(defn):
+        return uses[defn.name] > Counter(_names(defn))[defn.name]
+
     found = []
     for module in modules:
         for defn in module.body:
-            if not isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(defn, (*functions, ast.ClassDef)):
                 continue
-            reached = uses[defn.name] > Counter(_names(defn))[defn.name]
-            if not reached and defn.name not in treegamekit.__all__ and defn.name not in UNREFERENCED_ALLOWED:
+            if not reached(defn) and defn.name not in treegamekit.__all__ and defn.name not in UNREFERENCED_ALLOWED:
                 found.append(defn.name)
+            if not isinstance(defn, ast.ClassDef):
+                continue
+            for method in defn.body:
+                if not isinstance(method, functions) or method.name.startswith("__"):
+                    continue
+                name = f"{defn.name}.{method.name}"
+                if not reached(method) and name not in UNREFERENCED_ALLOWED:
+                    found.append(name)
     assert found == []
 
 

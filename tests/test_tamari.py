@@ -241,8 +241,6 @@ class TestElements:
             for b in (TamariElement.from_tree(u) for u in plane_trees(6)):
                 for e in (tamari_join(a, b), tamari_meet(a, b), TamariElement.from_fif(a.fif)):
                     assert e.tree == tree_from_first_inversions(e.fif)
-                    assert e.tree is e.tree
-            assert a.tree is t
 
     def test_join_meet_check_builds_no_tree(self, monkeypatch):
         built = []

@@ -205,7 +205,7 @@ class TestTraversals:
         lt = parse_labeled_tree("1(2(6) 3 4(5 7))")
         idx, labels = index_labeled_tree(lt)
         assert labels == (1, 2, 6, 3, 4, 5, 7)
-        assert len(idx) == 7
+        assert len(idx.parent) == 7
 
 
 class TestAncestry:
@@ -224,7 +224,7 @@ class TestAncestry:
     def test_trichotomy(self):
         for t in plane_trees(7):
             idx = index_tree(t)
-            for u, v in itertools.combinations(range(len(idx)), 2):
+            for u, v in itertools.combinations(range(len(idx.parent)), 2):
                 flags = (
                     is_strict_ancestor(idx, u, v),
                     is_strict_ancestor(idx, v, u),
@@ -237,8 +237,8 @@ class TestAncestry:
         for t in plane_trees(7):
             idx = index_tree(t)
             pos = {v: k for k, v in enumerate(postorder_ids(idx))}
-            for u in range(len(idx)):
-                for v in range(len(idx)):
+            for u in range(len(idx.parent)):
+                for v in range(len(idx.parent)):
                     if u == v:
                         continue
                     expected = is_left_of(idx, u, v) or is_strict_ancestor(
@@ -350,8 +350,8 @@ class TestStackLabelings:
         # hangs off a non-parent ancestor of v, or is an earlier sibling
         for t in plane_trees(7):
             idx, labels = index_labeled_tree(eastpush_labeling(t))
-            for u in range(len(idx)):
-                for v in range(len(idx)):
+            for u in range(len(idx.parent)):
+                for v in range(len(idx.parent)):
                     if u == v:
                         continue
                     pu, pv = idx.parent[u], idx.parent[v]
@@ -377,8 +377,8 @@ class TestStackLabelings:
         # lies to its left
         for t in plane_trees(7):
             idx, labels = index_labeled_tree(westpop_labeling(t))
-            for u in range(len(idx)):
-                for v in range(len(idx)):
+            for u in range(len(idx.parent)):
+                for v in range(len(idx.parent)):
                     if u == v:
                         continue
                     expected = is_strict_ancestor(idx, u, v) or is_left_of(
