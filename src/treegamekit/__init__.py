@@ -12,9 +12,12 @@ first-inversion tables (``tamari``); cell-level geometry whose point
 counts are game-polynomial values (``geometry``); and five independent
 computations of the census sequence 1, 0, 1, 1, 8, 26, ... (``seq``).
 
-Importing the package loads none of its modules.  A public name, or a
-submodule read as an attribute, is imported on its first access (PEP 562)
-and then bound here, so later reads are plain attribute reads.
+Importing the package loads none of its modules.  A public name is
+imported on its first access (PEP 562) and then bound here, so later reads
+are plain attribute reads.  A submodule read as an attribute, or named in
+a ``from . import``, is bound here set to load on its own first attribute
+access (``importlib.util.LazyLoader``); this is how the package's modules
+import one another, so a process loads only the modules it runs.
 """
 
 import importlib
@@ -62,14 +65,18 @@ __all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):
-    submodule = f"{__name__}.{name}"
     if name in _HOME:
         value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    elif submodule in sys.modules:  # as is: a module set to load lazily stays so
-        value = sys.modules[submodule]
-    elif name.isidentifier() and importlib.util.find_spec(submodule) is not None:
-        value = importlib.import_module(submodule)
     else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        fullname = f"{__name__}.{name}"
+        value = sys.modules.get(fullname)
+        if value is None:
+            spec = importlib.util.find_spec(fullname) if name.isidentifier() else None
+            if spec is None:
+                raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            value = importlib.util.module_from_spec(spec)
+            sys.modules[fullname] = value
+            spec.loader.exec_module(value)
     globals()[name] = value
     return value

@@ -11,9 +11,9 @@ enumeration-heavy subcommands: the tree census and congruence checks
 refuse larger n, and a fiber with more than (TGK_MAX_N - 1)! members.
 
 A process loads only the modules its command runs.  ``tree``, ``perm`` and
-``report`` are imported here, as every job needs them; the other modules
-are bound below but load on their first attribute access, and the parser
-reads none of them but ``seq``, whose method names ``--method`` offers.
+``report`` are loaded here, as every job needs them; the other modules are
+bound by the package, set to load on their first attribute access, and the
+parser reads none of them but ``seq``, whose method names ``--method`` offers.
 """
 
 from __future__ import annotations
@@ -21,15 +21,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import importlib.util
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import __version__, tree
+from . import __version__, checks, game, geometry, lattice, poly, seq, tamari, tree
 from .perm import avoids, format_permutation, parse_permutation
-from .report import VerifyConfig, render_lines, results_json
+from .report import VerifyConfig
 from .tree import (
     format_labeled_tree,
     format_plane_tree,
@@ -38,25 +37,6 @@ from .tree import (
 )
 
 Handled = tuple[int, dict, list[str]]
-
-
-def _lazy(name: str):
-    """The package's module ``name``, as loaded already or else set to load
-    on its first attribute access (``importlib.util.LazyLoader``)."""
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-    return module
-
-
-checks, game, geometry, lattice, poly, seq, tamari = map(
-    _lazy, ("checks", "game", "geometry", "lattice", "poly", "seq", "tamari")
-)
 
 
 def _env_cap(default: int) -> int:
@@ -277,8 +257,8 @@ def _handle_tamari_op(args) -> Handled:
 def _handle_tamari_verify(args) -> Handled:
     n = _positive("--n", args.n)
     rep = tamari.verify_congruence(n, limit=_env_cap(tamari.ENUMERATION_LIMIT))
-    payload = {"n": rep.n, "ok": rep.ok, "checks": results_json(rep.checks)}
-    return (0 if rep.ok else 1), payload, render_lines(rep.checks)
+    payload = {"n": rep.n, "ok": rep.ok, "checks": [c._asdict() for c in rep.checks]}
+    return (0 if rep.ok else 1), payload, [c.line() for c in rep.checks]
 
 
 def _handle_euler(args) -> Handled:
@@ -335,9 +315,9 @@ def _handle_verify(args) -> Handled:
     )
     results = checks.run_verify(cfg)
     ok = all(r.passed for r in results)
-    lines = render_lines(results)
+    lines = [r.line() for r in results]
     lines.append(f"VERIFY: {'PASS' if ok else 'FAIL'}")
-    payload = {"ok": ok, "checks": results_json(results)}
+    payload = {"ok": ok, "checks": [r._asdict() for r in results]}
     return (0 if ok else 1), payload, lines
 
 

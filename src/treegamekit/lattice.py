@@ -81,14 +81,6 @@ class PruningLattice:
     def __contains__(self, mask: int) -> bool:
         return mask in self._members
 
-    @property
-    def bottom(self) -> int:
-        return 1
-
-    @property
-    def top(self) -> int:
-        return (1 << self.size) - 1
-
     def rank(self, mask: int) -> int:
         return mask.bit_count() - 1
 

@@ -32,21 +32,10 @@ general signed product.
 At each vertex the factors (1, *phi_k) are multiplied in pairs, level
 by level, so that a vertex with k leaves costs products of balanced
 lengths (where the packing pays) rather than k - 1 products of a
-growing factor with 1 + q.  ``SCHOOLBOOK`` is measured: ``game_polynomial``
-alone, each tree's time the least of 3 runs (30 for the pool), on 2 cores
-under Python 3.11.7, over the 60 shallow ``phi`` trees of the benchmark's
-``big-trees`` workload (seeds 321 and 322; 115-1659 vertices) and the
-128 trees of its ``small-queries`` pool (seed 0; 5-19 vertices):
-
-    SCHOOLBOOK   big-trees total   big-trees geo. mean   pool geo. mean
-         2           6.06 s            12.6 ms             37.5 us
-         4           4.78 s            10.3 ms             30.0 us
-         8           3.23 s             9.13 ms            27.9 us
-        16           2.52 s             9.13 ms            28.0 us
-        32           2.51 s             9.72 ms            28.1 us
-
-From 8 up no product in the pool is packed (its shorter factors have at
-most 9 terms).  16 ties 8 on the geometric mean, and 32 on the total.
+growing factor with 1 + q.  ``SCHOOLBOOK`` = 16 is measured, with
+``game_polynomial`` alone on the trees of the benchmark's ``big-trees`` and
+``small-queries`` workloads: 8 and 32 do no better, and 2 and 4 do worse
+(the timings are in CHANGES.md).
 
 Text form is ascending with explicit carets, e.g. ``1 + 2*q + 3*q^2``;
 JSON form is the ascending coefficient list.

@@ -25,11 +25,3 @@ class CheckResult(NamedTuple):
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"CHECK {self.name}: {status}" + (f" ({self.details})" if self.details else "")
-
-
-def render_lines(results) -> list[str]:
-    return [r.line() for r in results]
-
-
-def results_json(results) -> list[dict]:
-    return [{"name": r.name, "passed": r.passed, "details": r.details} for r in results]

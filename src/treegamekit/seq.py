@@ -6,14 +6,11 @@ here by
 
 * an alternating sum of unsigned Stirling numbers of the first kind,
 * exact series extraction from the exponential generating function
-  log(1 - log(1 - x)),
+  log(1 - log(1 - x)), coefficient by coefficient,
 * a census of the (n-1)! increasing trees, counted label by label by
   what the game can see of them (see ``game``),
 * a recurrence splitting a tree at the subtree containing the top label,
 * a complementary recurrence for the first-player counts.
-
-Exact rational series arithmetic (Fraction coefficients, truncated at a
-fixed order) lives here too, as far as the series route needs it.
 """
 
 from __future__ import annotations
@@ -77,46 +74,21 @@ def census_by_stirling_sum(n: int) -> int:
     return _alternating_sum(_stirling_row(n))
 
 
-# ---------------------------------------------------------------------------
-# exact truncated series (lists of Fractions, index = exponent)
-
-
-def series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ca in enumerate(a[: order + 1]):
-        if ca:
-            for j, cb in enumerate(b[: order + 1 - i]):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
-
-
-def series_log_one_plus(f: list[Fraction], order: int) -> list[Fraction]:
-    """log(1 + f) through the given order; f must have no constant term."""
-    if f and f[0] != 0:
-        raise ValueError("series must have zero constant term")
-    f = list(f[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(f))
-    total = [Fraction(0)] * (order + 1)
-    power = list(f)
-    for m in range(1, order + 1):
-        c = Fraction((-1) ** (m - 1), m)
-        for i in range(order + 1):
-            total[i] += c * power[i]
-        power = series_mul(power, f, order)
-    return total
-
-
 def census_by_egf(n_max: int) -> list[int]:
-    """Coefficients n! [x^n] log(1 - log(1 - x)) for n = 1..n_max."""
+    """Coefficients n! [x^n] log(1 - log(1 - x)) for n = 1..n_max, in exact
+    rationals.  With f = -log(1 - x), the sum of x^k / k, g = log(1 + f)
+    has g' * (1 + f) = f', so n g_n = n f_n - sum over k < n of k g_k f_(n-k)
+    (Knuth, TAOCP vol. 2, 4.7): O(n^2) operations."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    inner = [Fraction(0)] + [Fraction(1, k) for k in range(1, n_max + 1)]  # -log(1-x)
-    series = series_log_one_plus(inner, n_max)
+    f = [Fraction(0)] + [Fraction(1, k) for k in range(1, n_max + 1)]
+    g = [Fraction(0)]
     out = []
     factorial = 1
     for n in range(1, n_max + 1):
+        g.append((n * f[n] - sum(k * g[k] * f[n - k] for k in range(1, n))) / n)
         factorial *= n
-        value = series[n] * factorial
+        value = g[n] * factorial
         if value.denominator != 1:
             raise ArithmeticError(f"coefficient at x^{n} is not integral: {value}")
         out.append(int(value))

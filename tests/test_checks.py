@@ -5,7 +5,7 @@ import re
 
 from treegamekit import checks, game, perm, poly, tamari, tree
 from treegamekit.checks import ALL_CHECKS, VerifyConfig, run_verify
-from treegamekit.report import CheckResult, render_lines, results_json
+from treegamekit.report import CheckResult
 
 
 def quotient_oracle(n):
@@ -32,9 +32,10 @@ class TestReport:
 
     def test_render_and_json(self):
         rs = [CheckResult("a", True, "x"), CheckResult("b", False, "y")]
-        assert render_lines(rs) == ["CHECK a: PASS (x)", "CHECK b: FAIL (y)"]
-        blob = results_json(rs)
+        assert [r.line() for r in rs] == ["CHECK a: PASS (x)", "CHECK b: FAIL (y)"]
+        blob = [r._asdict() for r in rs]
         assert blob[0] == {"name": "a", "passed": True, "details": "x"}
+        assert list(blob[0]) == ["name", "passed", "details"]  # the order --json writes
         assert blob[1]["passed"] is False
 
 

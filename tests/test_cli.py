@@ -17,7 +17,6 @@ from treegamekit import cli, poly, tree
 from treegamekit.checks import VerifyConfig
 from treegamekit.cli import main
 from treegamekit.geometry import MR_PROVEN_BELOW
-from treegamekit.report import render_lines, results_json
 from treegamekit.tamari import verify_congruence
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -335,16 +334,16 @@ class TestTamari:
         assert json.loads(out)["ok"] is True
 
     def test_verify_lines_and_json(self, capsys):
-        # the report renders through the same functions as tgk verify
+        # the report renders each check as tgk verify does
         checks = verify_congruence(4).checks
         _, out, _ = run(capsys, "tamari-verify", "--n", "4")
         lines = out.splitlines()
         assert all(line.startswith("CHECK ") and line.count("PASS") == 1 for line in lines)
-        assert lines == render_lines(checks)
+        assert lines == [c.line() for c in checks]
         _, out, _ = run(capsys, "--json", "tamari-verify", "--n", "4")
         blob = json.loads(out)
         assert blob["n"] == 4
-        assert blob["checks"] == results_json(checks)
+        assert blob["checks"] == [c._asdict() for c in checks]
         assert {c["name"] for c in blob["checks"]} == {
             "fiber-interval",
             "upper-projection-monotone",

@@ -215,4 +215,4 @@ class TestCellComplex:
 
     def test_top_cell_dimension(self):
         lat = PruningLattice(WORKED)
-        assert max(lat.rank(c) for c in lat) == lat.rank(lat.top) == 4
+        assert max(lat.rank(c) for c in lat) == lat.rank((1 << lat.size) - 1) == 4

@@ -1,6 +1,8 @@
 """Tests for the lattice of prunings and its rank generating function."""
 
+import functools
 import itertools
+import operator
 from collections import Counter
 
 import pytest
@@ -17,6 +19,7 @@ from treegamekit.tree import (
     _children_table,
     canonicalize,
     increasing_labelings,
+    index_tree,
     parse_plane_tree,
     plane_trees,
     rooted_trees,
@@ -36,8 +39,6 @@ def increasing_tree_shapes(n):
 
 def brute_prunings(t):
     """Vertex subsets containing the root and closed under parents."""
-    from treegamekit.tree import index_tree
-
     idx = index_tree(t)
     n = len(idx.parent)
     out = set()
@@ -62,7 +63,7 @@ class TestMaterialization:
         lat = PruningLattice(())
         assert len(lat) == 1
         assert list(lat) == [1]
-        assert lat.bottom == lat.top == 1
+        assert (1 << lat.size) - 1 == 1
 
     def test_worked_example_count(self):
         assert len(PruningLattice(WORKED)) == 10
@@ -82,10 +83,11 @@ class TestMaterialization:
     def test_bottom_and_top(self):
         for t in plane_trees(6):
             lat = PruningLattice(t)
-            assert lat.bottom in lat
-            assert lat.top in lat
-            assert lat.rank(lat.bottom) == 0
-            assert lat.rank(lat.top) == vertex_count(t) - 1
+            top = (1 << lat.size) - 1
+            assert 1 in lat
+            assert top in lat
+            assert lat.rank(1) == 0
+            assert lat.rank(top) == vertex_count(t) - 1
 
     def test_size_guard(self):
         path = ()
@@ -127,7 +129,7 @@ class TestCovers:
 
     def test_top_covers_nothing_above(self):
         lat = PruningLattice(WORKED)
-        assert len(lat.covers_above(lat.top)) == 0
+        assert len(lat.covers_above((1 << lat.size) - 1)) == 0
 
     def test_rejects_non_member(self):
         lat = PruningLattice(WORKED)
@@ -159,11 +161,27 @@ class TestJoinMeet:
                 assert a & b in lowers and all(m & (a & b) == m for m in lowers)
 
     def test_distributive(self):
-        for t in plane_trees(6):
-            lat = PruningLattice(t)
-            members = list(lat)
-            for a, b, c in itertools.product(members, repeat=3):
-                assert a & (b | c) == (a & b) | (a & c)
+        # Birkhoff: a finite distributive lattice is the down-sets of its
+        # join-irreducibles, the elements covering exactly one other; for
+        # prunings these are the n - 1 root-to-vertex paths, and each
+        # pruning above the root alone is the join of the paths it holds
+        for n in range(1, 8):
+            for t in plane_trees(n):
+                lat = PruningLattice(t)
+                below = Counter(c for m in lat for c in lat.covers_above(m))
+                parent = index_tree(t).parent
+                paths = set()
+                for v in range(1, n):
+                    path, u = 0, v
+                    while u >= 0:
+                        path |= 1 << u
+                        u = parent[u]
+                    paths.add(path)
+                assert len(paths) == n - 1
+                assert {c for c, k in below.items() if k == 1} == paths
+                for m in lat:
+                    if m != 1:
+                        assert functools.reduce(operator.or_, (p for p in paths if p & m == p)) == m
 
 
 class TestRankGeneratingFunction:
@@ -196,12 +214,12 @@ class TestRankGeneratingFunction:
 class TestPrunedSubtrees:
     def test_bottom_is_single_vertex(self):
         lat = PruningLattice(WORKED)
-        assert lat.pruned_subtree(lat.bottom) == ()
+        assert lat.pruned_subtree(1) == ()
 
     def test_top_is_base(self):
         for t in plane_trees(6):
             lat = PruningLattice(t)
-            assert lat.pruned_subtree(lat.top) == t
+            assert lat.pruned_subtree((1 << lat.size) - 1) == t
 
     def test_sizes_match_rank(self):
         lat = PruningLattice(WORKED)

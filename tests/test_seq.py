@@ -2,11 +2,8 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from treegamekit import seq
 from treegamekit.game import census_second_player_wins
@@ -19,37 +16,10 @@ from treegamekit.seq import (
     census_by_stirling_sum,
     census_table,
     separator_weight_polynomial,
-    series_log_one_plus,
-    series_mul,
     stirling_first,
 )
 
 KNOWN = [1, 0, 1, 1, 8, 26, 194, 1142, 9736, 81384]
-
-
-def series_exp(f, order):
-    """exp(f) through the given order; f must have no constant term."""
-    if f and f[0] != 0:
-        raise ValueError("series must have zero constant term")
-    f = list(f[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(f))
-    total = [Fraction(0)] * (order + 1)
-    total[0] = Fraction(1)
-    power = list(f)
-    factorial = 1
-    for m in range(1, order + 1):
-        factorial *= m
-        c = Fraction(1, factorial)
-        for i in range(order + 1):
-            total[i] += c * power[i]
-        power = series_mul(power, f, order)
-    return total
-
-
-fraction_tails = st.lists(
-    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9)),
-    min_size=1,
-    max_size=5,
-)
 
 
 def brute_stirling(n, k):
@@ -126,53 +96,6 @@ class TestStirling:
             stirling_first(3, -1)
 
 
-class TestSeries:
-    def test_mul(self):
-        one_plus_x = [Fraction(1), Fraction(1)]
-        got = series_mul(one_plus_x, one_plus_x, 3)
-        assert got == [Fraction(1), Fraction(2), Fraction(1), Fraction(0)]
-
-    def test_log_of_geometric(self):
-        # log(1 + (x + x^2 + ..)) = log(1/(1-x)) = sum x^k / k
-        order = 7
-        tail = [Fraction(0)] + [Fraction(1)] * (order - 1)
-        got = series_log_one_plus(tail, order)
-        assert got[0] == 0
-        for k in range(1, order):
-            assert got[k] == Fraction(1, k)
-
-    def test_exp_of_x(self):
-        order = 7
-        x = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 2)
-        got = series_exp(x, order)
-        for k in range(order):
-            assert got[k] == Fraction(1, math.factorial(k))
-
-    def test_log_requires_zero_constant(self):
-        with pytest.raises(ValueError):
-            series_log_one_plus([Fraction(1)], 1)
-        with pytest.raises(ValueError):
-            series_exp([Fraction(1)], 1)
-
-    @given(fraction_tails)
-    @settings(max_examples=60)
-    def test_exp_log_round_trip(self, tail):
-        f = [Fraction(0), *tail]
-        order = len(tail)
-        g = series_exp(f, order)
-        back = series_log_one_plus([g[0] - 1, *g[1:]], order)
-        assert back == f
-
-    @given(fraction_tails)
-    @settings(max_examples=60)
-    def test_log_exp_round_trip(self, tail):
-        f = [Fraction(0), *tail]
-        order = len(tail)
-        g = series_log_one_plus(f, order)
-        back = series_exp(g, order)
-        assert back == [Fraction(1), *tail]
-
-
 class TestFiveRoutes:
     def test_known_values(self):
         assert [census_by_stirling_sum(n) for n in range(1, 11)] == KNOWN
@@ -200,6 +123,10 @@ class TestFiveRoutes:
         for n in range(1, 9):
             a_n = census_by_stirling_sum(n)
             assert math.factorial(n - 1) - a_n >= 0
+
+    def test_egf_matches_stirling_sum_to_40(self):
+        # far past CENSUS_LIMIT, where census_table compares the routes
+        assert census_by_egf(40) == [census_by_stirling_sum(n) for n in range(1, 41)]
 
     def test_egf_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,26 @@ def test_unknown_attribute():
     assert not hasattr(treegamekit, "__nonesuch__")
 
 
+def test_submodule_loads_on_first_attribute_access():
+    out = _fresh("from treegamekit import geometry\n"
+                 "print('point_count' in object.__getattribute__(geometry, '__dict__'), geometry.point_count.__module__)")
+    assert out == "False treegamekit.geometry\n"
+
+
+def test_one_loader():
+    # the package's __getattr__ is the one place that sets a module to
+    # load lazily; cli binds its modules with a plain ``from . import``
+    package = Path(treegamekit.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py")) if "LazyLoader" in path.read_text()] == ["__init__.py"]
+    imported = set()
+    for node in ast.walk(ast.parse((package / "cli.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.partition(".")[0])
+    assert "importlib" not in imported
+
+
 # Modules a process must not load, by what it runs: an import of the
 # package and its CLI, or a tgk command.
 NOT_LOADED = {
