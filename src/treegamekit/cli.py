@@ -5,7 +5,10 @@ labelings, pattern queries, game polynomials and winners, pruning
 lattices, the Tamari quotient, cell-level geometry, Monte-Carlo
 validation, and the cross-identity verify suite.  Exit codes: 0 on
 success, 1 when a verification reports failure, 2 on usage or parse
-errors.  ``--json`` switches any invocation to a single JSON document.
+errors.  ``--json`` switches any invocation to a single JSON document; on
+an exit 2 that document is ``{"error", "kind"}``, with kind ``usage``
+for a command line the parser cannot read and ``input`` for a value a
+command refuses, and the message is still printed on stderr.
 The environment variable ``TGK_MAX_N`` overrides the safety cap on the
 enumeration-heavy subcommands: the tree census and congruence checks
 refuse larger n, and a fiber with more than (TGK_MAX_N - 1)! members.
@@ -325,17 +328,29 @@ def _handle_verify(args) -> Handled:
 # parser
 
 
+class _UsageError(Exception):
+    """A command line the parser could not read; its usage and message
+    are on stderr, as ``argparse`` prints them."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)  # what argparse prints before it exits 2
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError(message)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The ``tgk`` parser, built on the first call and shared by every later
     one in the process.  It takes no input, so it is a constant of the
     program, and ``parse_args`` reads it without changing it: each call gets
     a fresh namespace.  The cache holds this one parser and nothing else."""
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit one JSON document instead of text")
 
-    parser = argparse.ArgumentParser(prog="tgk", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="tgk", description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true", help="emit one JSON document instead of text")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -413,17 +428,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str, kind: str, as_json: bool) -> int:
+    """Exit 2: the message is on stderr already, and under --json one
+    ``{"error", "kind"}`` document goes to stdout."""
+    if as_json:
+        print(json.dumps({"error": message, "kind": kind}))
+    return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        # the line was not read, so look for --json, or a prefix argparse takes for it, by hand
+        return _error(str(exc), "usage", any(a.startswith("--j") and "--json".startswith(a) for a in argv))
+    except SystemExit as exc:  # --help and --version
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, payload, lines = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc), "input", args.json)
     if args.json:
         with _exact_digits():
             print(json.dumps({"command": args.command, **payload}))

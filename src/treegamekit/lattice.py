@@ -6,6 +6,12 @@ bitmasks over the preorder numbering of the base tree, so join and meet
 are bitwise or/and, the rank of a pruning is its edge count, and cover
 moves add one frontier vertex (a vertex outside whose parent is inside).
 
+The masks are listed bottom up over descending preorder ids, each
+vertex's list extended one child at a time by every join of a mask so
+far with one of the child's, so each mask costs one ``|``.  They are then
+ordered by rank, then value, by two sorts with built-in keys: by value,
+then stably by ``int.bit_count``.
+
 The rank generating function of this lattice is the game polynomial, so
 ``rank_generating_function`` is the product over root subtrees
 (``poly.game_polynomial``), computable far beyond the sizes a lattice can
@@ -16,7 +22,6 @@ constructor refuses trees of more than ``MATERIALIZE_LIMIT = 20`` vertices.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Sequence
 
 from . import poly
@@ -42,11 +47,15 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _subtree_masks(idx: TreeIndex) -> list[int]:
     """Every pruning's mask, built over descending preorder ids: a vertex's
-    bit joined with one choice per child, nothing or one of the child's."""
+    list starts as its own bit, and each child in turn adds every mask so
+    far joined with every mask of the child's."""
     below: dict[int, list[int]] = {}
     for v in range(len(idx.parent) - 1, -1, -1):
-        options = [(0, *below.pop(c)) for c in idx.children[v]]
-        below[v] = [(1 << v) | sum(combo) for combo in itertools.product(*options)]
+        out = [1 << v]
+        for c in idx.children[v]:
+            child_masks = below.pop(c)
+            out += [a | b for a in out for b in child_masks]
+        below[v] = out
     return below[0]
 
 
@@ -64,7 +73,9 @@ class PruningLattice:
         self.base = base
         self.index = index_tree(base)
         self.size = size
-        self.masks = sorted(_subtree_masks(self.index), key=lambda m: (m.bit_count(), m))
+        self.masks = _subtree_masks(self.index)
+        self.masks.sort()
+        self.masks.sort(key=int.bit_count)  # stable, so by rank, then by value
         self._members = frozenset(self.masks)
         childmask = [0] * size
         for v, par in enumerate(self.index.parent):
@@ -127,29 +138,26 @@ def rank_generating_function(t: PlaneTree) -> poly.Poly:
 def placements_match_prunings(p: Sequence[int]) -> bool:
     """Check that mapping a valid separator set S of ``p`` to the vertex
     set {p(i) : i in S} plus the root of its first-inversion tree is a
-    rank-preserving order isomorphism onto the tree's prunings."""
+    rank-preserving order isomorphism onto the tree's prunings.
+
+    Only two things can fail: an image that is not a pruning, and a count
+    that differs.  The map sends position i to the vertex labelled p(i),
+    which is one-to-one on positions 2..n and never reaches the root
+    (labelled p(1) = 1).  So |S| is the image's rank, distinct sets have
+    distinct images, and S1 is a subset of S2 exactly when image 1 is of
+    image 2; with every image a pruning and as many sets as prunings, the
+    map is onto as well."""
     lt = first_inversion_tree(p)
     idx, labels = index_labeled_tree(lt)
     lat = PruningLattice(tree_of_index(idx.children))
     id_of = {lbl: v for v, lbl in enumerate(labels)}
 
-    mapped: list[tuple[frozenset[int], int]] = []
+    count = 0
     for placement in separator_placements(p):
         m = 1
         for i in placement.separators:
             m |= 1 << id_of[p[i - 1]]
         if m not in lat:
             return False
-        if len(placement.separators) != lat.rank(m):
-            return False
-        mapped.append((placement.separators, m))
-
-    if len(mapped) != len(lat):
-        return False
-    if len({m for _, m in mapped}) != len(mapped):
-        return False
-    for s1, m1 in mapped:
-        for s2, m2 in mapped:
-            if (s1 <= s2) != (m1 & ~m2 == 0):
-                return False
-    return True
+        count += 1
+    return count == len(lat)

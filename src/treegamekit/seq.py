@@ -6,7 +6,7 @@ here by
 
 * an alternating sum of unsigned Stirling numbers of the first kind,
 * exact series extraction from the exponential generating function
-  log(1 - log(1 - x)), coefficient by coefficient,
+  log(1 - log(1 - x)), by the powers of -log(1 - x),
 * a census of the (n-1)! increasing trees, counted label by label by
   what the game can see of them (see ``game``),
 * a recurrence splitting a tree at the subtree containing the top label,
@@ -76,17 +76,27 @@ def census_by_stirling_sum(n: int) -> int:
 
 def census_by_egf(n_max: int) -> list[int]:
     """Coefficients n! [x^n] log(1 - log(1 - x)) for n = 1..n_max, in exact
-    rationals.  With f = -log(1 - x), the sum of x^k / k, g = log(1 + f)
-    has g' * (1 + f) = f', so n g_n = n f_n - sum over k < n of k g_k f_(n-k)
-    (Knuth, TAOCP vol. 2, 4.7): O(n^2) operations."""
+    rationals.  With f = -log(1 - x), the sum of x^k / k, log(1 + f) is the
+    sum of (-1)^(m-1) f^m / m over m >= 1 (Mercator's series), and f^m
+    starts at x^m, so the powers f^1..f^n_max, truncated past x^n_max and
+    each the one before times f, give every coefficient: O(n^3)
+    operations, sharing no recurrence with the other routes.  With L the
+    lcm of 1..n_max, L f has integer coefficients, so each power is kept
+    as the integers of L^m f^m and only the sum is in ``Fraction``s."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    f = [Fraction(0)] + [Fraction(1, k) for k in range(1, n_max + 1)]
-    g = [Fraction(0)]
+    lcm = math.lcm(*range(1, n_max + 1))
+    f = [0] + [lcm // k for k in range(1, n_max + 1)]  # L f by exponent
+    g = [Fraction(0)] * (n_max + 1)
+    power, scale = f, lcm  # L^m f^m by exponent, zero below x^m, and L^m
+    for m in range(1, n_max + 1):
+        for i in range(m, n_max + 1):
+            g[i] += Fraction(power[i] if m % 2 else -power[i], m * scale)
+        power = [0] * (m + 1) + [sum(power[j] * f[i - j] for j in range(m, i)) for i in range(m + 1, n_max + 1)]
+        scale *= lcm
     out = []
     factorial = 1
     for n in range(1, n_max + 1):
-        g.append((n * f[n] - sum(k * g[k] * f[n - k] for k in range(1, n))) / n)
         factorial *= n
         value = g[n] * factorial
         if value.denominator != 1:

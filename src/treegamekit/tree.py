@@ -19,8 +19,13 @@ that avoid 213 and 312 respectively.
 
 Nothing here recurses, so trees may be as deep as memory allows: nested
 tuples are folded bottom up by ``_fold``, an explicit-stack traversal
-(Knuth, TAOCP Vol. 1, Section 2.3.1, Algorithm T), or numbered in
-preorder by ``_index``; children tables are built by one loop over ids.
+(Knuth, TAOCP Vol. 1, Section 2.3.1, Algorithm T), where the combine
+does real work, or numbered in preorder by ``_index``; children tables
+are built by one loop over ids.  The text writers run the same stack of
+child iterators inline, and the postorder readings (``fif_from_tree``,
+``perm_from_increasing_tree``) walk preorder with children taken right
+to left, which meets the vertices in reverse postorder; neither makes a
+call per vertex.
 """
 
 from __future__ import annotations
@@ -106,8 +111,21 @@ def format_plane_tree(t: PlaneTree) -> str:
     '(() (()))'
     """
     parts: list[str] = []
-    _fold(t, lambda node: parts.append("(") or iter(node), lambda node, _: parts.append(")"))
-    return "".join(parts).replace(")(", ") (")
+    stack: list[Iterator[PlaneTree]] = []  # the child iterators of the open vertices
+    kids = iter((t,))
+    while True:
+        for child in kids:
+            if child:
+                parts.append("(")
+                stack.append(kids)
+                kids = iter(child)
+                break
+            parts.append("()")
+        else:
+            if not stack:
+                return "".join(parts).replace(")(", ") (")
+            parts.append(")")
+            kids = stack.pop()
 
 
 def parse_labeled_tree(text: str) -> LabeledTree:
@@ -118,7 +136,7 @@ def parse_labeled_tree(text: str) -> LabeledTree:
         if pos >= n and open_nodes:
             raise ValueError(f"unbalanced '(': input ended at position {pos}")
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos].isdecimal():  # exactly the digits int() reads
             pos += 1
         if pos == start:
             raise ValueError(f"expected a label at position {start} in labelled-tree text")
@@ -149,13 +167,21 @@ def format_labeled_tree(lt: LabeledTree) -> str:
     '1(2(6) 3 4(5 7))'
     """
     parts: list[str] = []  # a space before every label; the replace drops those after '('
-
-    def enter(node: LabeledTree) -> Iterator[LabeledTree]:
-        parts.append(f" {node[0]}(" if node[1] else f" {node[0]}")
-        return iter(node[1])
-
-    _fold(lt, enter, lambda node, _: node[1] and parts.append(")"))
-    return "".join(parts).replace("( ", "(")[1:]
+    stack: list[Iterator[LabeledTree]] = []  # the child iterators of the open vertices
+    kids = iter((lt,))
+    while True:
+        for label, grandkids in kids:
+            if grandkids:
+                parts.append(f" {label}(")
+                stack.append(kids)
+                kids = iter(grandkids)
+                break
+            parts.append(f" {label}")
+        else:
+            if not stack:
+                return "".join(parts).replace("( ", "(")[1:]
+            parts.append(")")
+            kids = stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +272,21 @@ def first_inversion_tree(p: Sequence[int]) -> LabeledTree:
 
 def _increasing_postorder(lt: LabeledTree) -> list[int] | None:
     """The labels in postorder, each child list ordered by label, or None
-    unless ``lt`` is increasing."""
+    unless ``lt`` is increasing.  A preorder walk that takes each child
+    list largest label first meets the vertices in exactly the reverse of
+    that postorder."""
     post: list[int] = []
-
-    def leave(node: LabeledTree, increasing: list[bool]) -> bool:
-        post.append(node[0])
-        return all(increasing) and all(node[0] < child[0] for child in node[1])
-
-    ok = _fold(lt, lambda node: iter(sorted(node[1], key=_label)), leave)
-    return post if ok and sorted(post) == list(range(1, len(post) + 1)) else None
+    stack = [lt]
+    while stack:
+        label, kids = stack.pop()
+        post.append(label)
+        if kids:
+            kids = sorted(kids, key=_label)
+            if kids[0][0] <= label:
+                return None
+            stack += kids
+    post.reverse()
+    return post if sorted(post) == list(range(1, len(post) + 1)) else None
 
 
 def is_increasing(lt: LabeledTree) -> bool:
@@ -325,18 +357,22 @@ def westpop_labeling(t: PlaneTree) -> LabeledTree:
 def fif_from_tree(t: PlaneTree) -> tuple[int, ...]:
     """Read a plane tree as a first-inversion table: the entry for the
     vertex at postorder position i - 1 is one past its parent's postorder
-    position (the root, at position n, yields the sentinel n + 1)."""
-    table: list[int] = []
+    position (the root, at position n, yields the sentinel n + 1).
 
-    def place(node: PlaneTree, kid_positions: list[int]) -> int:
-        table.append(0)
-        for k in kid_positions:
-            table[k - 1] = len(table) + 1
-        return len(table)
-
-    _fold(t, iter, place)
-    table[-1] = len(table) + 1
-    return tuple(table)
+    A preorder walk that takes children right to left meets the vertices
+    in reverse postorder, so the j-th vertex it meets (from 0) is at
+    position n - j, and its children's entries are n + 1 - j."""
+    met: list[int] = []  # for each vertex met, the walk index of its parent (the root's own, 0)
+    nodes, parents = [t], [0]
+    while nodes:
+        node = nodes.pop()
+        met.append(parents.pop())
+        if node:
+            parents += [len(met) - 1] * len(node)
+            nodes += node
+    met.reverse()
+    n1 = len(met) + 1
+    return tuple([n1 - j for j in met])
 
 
 def tree_from_first_inversions(t: Sequence[int]) -> PlaneTree:

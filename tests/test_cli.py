@@ -165,6 +165,59 @@ class TestBijection:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_superscript_label_is_a_grammar_error(self, capsys):
+        code, out, err = run(capsys, "gamma-inv", "--tree", "1(\u00b2)")
+        assert (code, out, err) == (2, "", "error: expected a label at position 2 in labelled-tree text\n")
+
+
+class TestJsonErrors:
+    """Under --json an exit 2 prints one {"error", "kind"} document on
+    stdout; stderr is what it is without --json."""
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["seq", "--n", "x"], "usage"),
+            (["seq"], "usage"),
+            (["bogus"], "usage"),
+            (["seq", "--n", "4", "--threads", "2"], "usage"),
+            (["seq", "--n", "0"], "input"),
+            (["phi", "--tree", "(()"], "input"),
+            (["gamma-inv", "--tree", "1(3(2))"], "input"),
+            (["tamari-verify", "--n", "9"], "input"),
+        ],
+    )
+    def test_document_on_stdout_message_on_stderr(self, capsys, argv, kind):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err
+        for flagged in (["--json", *argv], [*argv, "--json"]):
+            code_json, out_json, err_json = run(capsys, *flagged)
+            assert (code_json, err_json) == (2, err)
+            doc = json.loads(out_json)
+            assert list(doc) == ["error", "kind"] and doc["kind"] == kind
+            assert doc["error"] in err
+
+    def test_argparse_message_is_the_error(self, capsys):
+        code, out, err = run(capsys, "--json", "seq", "--n", "x")
+        assert code == 2
+        assert json.loads(out) == {"error": "argument --n: invalid int value: 'x'", "kind": "usage"}
+        assert err.startswith("usage: tgk seq") and err.endswith("tgk seq: error: argument --n: invalid int value: 'x'\n")
+
+    def test_abbreviated_flag_counts(self, capsys):
+        code, out, _ = run(capsys, "seq", "--n", "x", "--js")
+        assert code == 2 and json.loads(out)["kind"] == "usage"
+
+    def test_help_and_version_print_no_error(self, capsys):
+        for argv in (["--json", "--version"], ["--json", "seq", "--help"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and "error" not in out
+
+    def test_bad_cap_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TGK_MAX_N", "x")
+        code, out, err = run(capsys, "--json", "seq", "--n", "3", "--all-methods")
+        assert code == 2 and err == "error: TGK_MAX_N must be an integer, got 'x'\n"
+        assert json.loads(out) == {"error": "TGK_MAX_N must be an integer, got 'x'", "kind": "input"}
+
 
 class TestLabelAndAvoid:
     def test_eastpush(self, capsys):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import operator
+import random
 from collections import Counter
 
 import pytest
@@ -10,18 +11,22 @@ import pytest
 from treegamekit.lattice import (
     MATERIALIZE_LIMIT,
     PruningLattice,
+    _subtree_masks,
     placements_match_prunings,
     rank_generating_function,
 )
-from treegamekit.perm import enumerate_fixing_one
+from treegamekit.perm import enumerate_fixing_one, separator_placements
 from treegamekit.poly import Poly
 from treegamekit.tree import (
     _children_table,
     canonicalize,
+    first_inversion_tree,
     increasing_labelings,
+    index_labeled_tree,
     index_tree,
     parse_plane_tree,
     plane_trees,
+    random_plane_tree,
     rooted_trees,
     tree_of_index,
     vertex_count,
@@ -55,6 +60,28 @@ def brute_prunings(t):
     return out
 
 
+def product_masks(idx):
+    """Every pruning's mask in ``itertools.product`` order: a vertex's bit
+    joined with one choice per child, nothing or one of the child's."""
+    below = {}
+    for v in range(len(idx.parent) - 1, -1, -1):
+        options = [(0, *below.pop(c)) for c in idx.children[v]]
+        below[v] = [(1 << v) | sum(combo) for combo in itertools.product(*options)]
+    return below[0]
+
+
+def small_and_random_trees():
+    """Every plane tree of up to 9 vertices, seeded random trees of 10 to
+    19, and the star with the most prunings a lattice may have."""
+    for n in range(1, 10):
+        yield from plane_trees(n)
+    rng = random.Random(19)
+    for n in range(10, 20):
+        for _ in range(4):
+            yield random_plane_tree(n, rng)
+    yield ((),) * (MATERIALIZE_LIMIT - 1)
+
+
 WORKED = parse_plane_tree("(() (() ()))")
 
 
@@ -71,6 +98,16 @@ class TestMaterialization:
     def test_members_match_brute_force(self):
         for t in plane_trees(7):
             assert set(PruningLattice(t)) == brute_prunings(t)
+
+    def test_masks_match_product_oracle(self):
+        # the child-at-a-time listing holds the same masks, and the lattice
+        # orders them as the (bit count, value) key does
+        for t in small_and_random_trees():
+            idx = index_tree(t)
+            want = product_masks(idx)
+            got = _subtree_masks(idx)
+            assert len(got) == len(want) and sorted(got) == sorted(want)
+            assert PruningLattice(t).masks == sorted(want, key=lambda m: (m.bit_count(), m))
 
     def test_enumeration_order(self):
         lat = PruningLattice(WORKED)
@@ -240,6 +277,36 @@ class TestPlacementCorrespondence:
 
     def test_worked_example(self):
         assert placements_match_prunings((1, 6, 2, 3, 5, 7, 4))
+
+    def test_rank_distinctness_and_order_follow(self):
+        # the checks the docstring argues cannot fail, run in full: each
+        # image has the set's size as its rank, no two sets share an image,
+        # and containment of sets is containment of images
+        for n in range(1, 7):
+            for p in enumerate_fixing_one(n):
+                idx, labels = index_labeled_tree(first_inversion_tree(p))
+                id_of = {lbl: v for v, lbl in enumerate(labels)}
+                mapped = []
+                for placement in separator_placements(p):
+                    m = functools.reduce(operator.or_, (1 << id_of[p[i - 1]] for i in placement.separators), 1)
+                    assert m.bit_count() - 1 == len(placement.separators)
+                    mapped.append((placement.separators, m))
+                assert len({m for _, m in mapped}) == len(mapped)
+                for s1, m1 in mapped:
+                    for s2, m2 in mapped:
+                        assert (s1 <= s2) == (m1 & ~m2 == 0)
+
+    def test_detects_a_wrong_map(self, monkeypatch):
+        # checked against the lattice of another tree: an image that is no
+        # pruning of it fails the first test, and a count that differs the second
+        from treegamekit import lattice
+
+        # 1(2(3) 4) against its mirror image: 6 prunings each, but the
+        # image {1, 4} is no pruning of the mirror
+        monkeypatch.setattr(lattice, "tree_of_index", lambda children: ((), ((),)))
+        assert not placements_match_prunings((1, 3, 2, 4))
+        monkeypatch.setattr(lattice, "tree_of_index", lambda children: ((), ()))
+        assert not placements_match_prunings((1, 3, 2))  # 3 placements, 4 prunings
 
     def test_weight_identity_over_shapes(self):
         # summing rank generating functions over tree shapes with

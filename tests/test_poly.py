@@ -1,7 +1,9 @@
 """Tests for integer polynomials, the game polynomial, and its event model."""
 
+import itertools
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +20,7 @@ from treegamekit.poly import (
     ONE,
     Q,
     SCHOOLBOOK,
+    SHARE_PROFILES,
     ZERO,
     Poly,
     _times,
@@ -29,6 +32,8 @@ from treegamekit.poly import (
 )
 from treegamekit.tree import _fold, parse_plane_tree, plane_trees, random_plane_tree, vertex_count
 
+from test_lattice import small_and_random_trees
+
 coeff_lists = st.lists(st.integers(-9, 9), max_size=6)
 
 
@@ -36,6 +41,25 @@ def product_oracle(t):
     """The game polynomial as one ``Poly`` product after another: the
     term-by-term signed product, factor by factor."""
     return _fold(t, iter, lambda node, phis: math.prod((Poly((1, *phi.coeffs)) for phi in phis), start=ONE))
+
+
+def product_profiles(node, child_profiles):
+    """A vertex's profiles as one sum per ``itertools.product`` combination
+    of its children's options; fold it with ``_fold``."""
+    if not child_profiles:
+        return [(0, 0, True)]
+    options = [((0, 1, False), *((r + 1, c, lost) for r, c, lost in ps)) for ps in child_profiles]
+    out = []
+    for combo in itertools.product(*options):
+        rank = covers = 0
+        loses = True
+        for r, c, child_loses in combo:
+            rank += r
+            covers += c
+            if child_loses:
+                loses = False
+        out.append((rank, covers, loses))
+    return out
 
 
 def horner_oracle(p, x):
@@ -334,6 +358,25 @@ class TestPruningProfiles:
                     for m in lat
                 )
                 assert Counter(pruning_profiles(t)) == expected
+
+    def test_profiles_match_product_oracle(self):
+        # the same list, order included, on every plane tree of up to 9
+        # vertices, on random trees of up to 19, and on the largest star,
+        # whose joins pass SHARE_PROFILES and share their tuples
+        assert 2 ** (MATERIALIZE_LIMIT - 1) > SHARE_PROFILES
+        for t in small_and_random_trees():
+            assert pruning_profiles(t) == _fold(t, iter, product_profiles)
+
+    def test_largest_star_traces_less_than_a_tuple_per_profile(self):
+        star = ((),) * (MATERIALIZE_LIMIT - 1)
+        tracemalloc.start()
+        try:
+            profiles = pruning_profiles(star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(profiles) == 2 ** (MATERIALIZE_LIMIT - 1)
+        assert peak < len(profiles) * sys.getsizeof((0, 0, True)) // 2
 
     def test_size_cap(self):
         # a star with MATERIALIZE_LIMIT - 1 leaves has the most prunings

@@ -16,6 +16,8 @@ from treegamekit.perm import (
     first_inversions,
 )
 from treegamekit.tree import (
+    _fold,
+    _increasing_postorder,
     canonicalize,
     eastpush_labeling,
     fif_from_tree,
@@ -38,7 +40,8 @@ from treegamekit.tree import (
     westpop_labeling,
 )
 
-from test_lattice import increasing_tree_shapes
+from test_cli import DEEP
+from test_lattice import increasing_tree_shapes, small_and_random_trees
 
 WORKED_PERM = (1, 6, 2, 3, 5, 7, 4)
 WORKED_SHAPE = (((),), (), ((), ()))
@@ -176,6 +179,15 @@ class TestGrammar:
         for text in ["", "()", "1(", "1)", "1(2))", "x(2)", "1(2 2x)"]:
             with pytest.raises(ValueError):
                 parse_labeled_tree(text)
+
+    def test_labels_are_decimal_digits(self):
+        # superscripts are digits to str.isdigit but not to int(): they are
+        # no label, at the position where one was expected
+        for text, pos in [("1(\u00b2)", 2), ("\u00b9", 0), ("1(2 3\u00b2)", 5)]:
+            with pytest.raises(ValueError, match=f"expected a label at position {pos}|trailing input at position {pos}"):
+                parse_labeled_tree(text)
+        # digits of other scripts are decimal, and int() reads them
+        assert parse_labeled_tree("1(\u0662)") == (1, ((2, ()),))
 
 
 class TestTraversals:
@@ -516,3 +528,131 @@ class TestRandomTrees:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             random_plane_tree(0, random.Random(0))
+
+
+# ---------------------------------------------------------------------------
+# the inline walks against the _fold walks they replaced
+
+def fold_increasing_postorder(lt):
+    post = []
+
+    def leave(node, increasing):
+        post.append(node[0])
+        return all(increasing) and all(node[0] < child[0] for child in node[1])
+
+    ok = _fold(lt, lambda node: iter(sorted(node[1], key=lambda c: c[0])), leave)
+    return post if ok and sorted(post) == list(range(1, len(post) + 1)) else None
+
+
+def fold_fif(t):
+    table = []
+
+    def place(node, kid_positions):
+        table.append(0)
+        for k in kid_positions:
+            table[k - 1] = len(table) + 1
+        return len(table)
+
+    _fold(t, iter, place)
+    table[-1] = len(table) + 1
+    return tuple(table)
+
+
+def fold_format_plane(t):
+    parts = []
+    _fold(t, lambda node: parts.append("(") or iter(node), lambda node, _: parts.append(")"))
+    return "".join(parts).replace(")(", ") (")
+
+
+def fold_format_labeled(lt):
+    parts = []
+
+    def enter(node):
+        parts.append(f" {node[0]}(" if node[1] else f" {node[0]}")
+        return iter(node[1])
+
+    _fold(lt, enter, lambda node, _: node[1] and parts.append(")"))
+    return "".join(parts).replace("( ", "(")[1:]
+
+
+def relabel(t, labels):
+    """``t`` labelled by ``labels`` in preorder, child order kept."""
+    return tree_of_index(index_tree(t).children, labels)
+
+
+def reversed_children(lt):
+    """``lt`` with every child list reversed."""
+    idx, labels = index_labeled_tree(lt)
+    return tree_of_index([kids[::-1] for kids in idx.children], labels)
+
+
+def deep_trees():
+    """Paths and caterpillars deeper than twice the recursion limit."""
+    path = ()
+    for _ in range(DEEP - 1):
+        path = (path,)
+    rng = random.Random(DEEP)
+    caterpillar = ()
+    for _ in range(DEEP):
+        caterpillar = ((),) * rng.randrange(3) + (caterpillar,) + ((),) * rng.randrange(3)
+    return path, caterpillar
+
+
+class TestInlineWalksMatchFold:
+    def test_plane_tree_walks(self):
+        for t in small_and_random_trees():
+            assert fif_from_tree(t) == fold_fif(t)
+            assert format_plane_tree(t) == fold_format_plane(t)
+
+    def test_increasing_trees(self):
+        rng = random.Random(5)
+        for t in small_and_random_trees():
+            n = vertex_count(t)
+            for lt in (westpop_labeling(t), eastpush_labeling(t)):
+                for variant in (lt, reversed_children(lt)):
+                    post = _increasing_postorder(variant)
+                    assert post is not None and post == fold_increasing_postorder(variant)
+                    assert format_labeled_tree(variant) == fold_format_labeled(variant)
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            lt = relabel(t, labels)
+            assert _increasing_postorder(lt) == fold_increasing_postorder(lt)
+            assert format_labeled_tree(lt) == fold_format_labeled(lt)
+
+    def test_every_small_labelling(self):
+        # labels from 0..n+1 in every arrangement: children at or below
+        # their parent's label, repeated labels, and labels other than 1..n
+        for n in range(1, 5):
+            for t in plane_trees(n):
+                for labels in itertools.product(range(n + 2), repeat=n):
+                    lt = relabel(t, labels)
+                    post = _increasing_postorder(lt)
+                    assert post == fold_increasing_postorder(lt)
+                    assert format_labeled_tree(lt) == fold_format_labeled(lt)
+                    if post is None:
+                        with pytest.raises(ValueError, match="labels must be 1..n"):
+                            perm_from_increasing_tree(lt)
+                    else:
+                        assert perm_from_increasing_tree(lt) == (1, *post[:-1])
+
+    def test_non_increasing_cases(self):
+        for text in ["1(2(2))", "1(3(2))", "2(3)", "1(2 2)", "1(1)", "1(3 4)", "0(1 2)", "1(2(4) 3(4))"]:
+            lt = parse_labeled_tree(text)
+            assert _increasing_postorder(lt) is None
+            assert fold_increasing_postorder(lt) is None
+            assert not is_increasing(lt)
+
+    def test_deep_trees(self):
+        path, caterpillar = deep_trees()
+        assert fif_from_tree(path) == (*range(3, DEEP + 2), DEEP + 1)
+        assert format_plane_tree(path) == "(" * DEEP + ")" * DEEP
+        assert perm_from_increasing_tree(westpop_labeling(path)) == (1, *range(DEEP, 1, -1))
+        for t in (path, caterpillar):
+            assert fif_from_tree(t) == fold_fif(t)
+            assert format_plane_tree(t) == fold_format_plane(t)
+            for lt in (westpop_labeling(t), eastpush_labeling(t)):
+                p = perm_from_increasing_tree(lt)
+                assert p == (1, *fold_increasing_postorder(lt)[:-1])
+                text = format_labeled_tree(lt)  # == on nested tuples this deep would recurse
+                assert text == fold_format_labeled(lt)
+                assert format_labeled_tree(first_inversion_tree(p)) == text
