@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     one in the process.  It takes no input, so it is a constant of the
     program, and ``parse_args`` reads it without changing it: each call gets
     a fresh namespace.  The cache holds this one parser and nothing else."""
-    common = _Parser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit one JSON document instead of text")
 

@@ -21,7 +21,13 @@ small numbers, so a long list holds few distinct ones.  Once a join
 would make ``SHARE_PROFILES`` or more, each distinct triple is joined
 with the options once and the longer list shares those tuples: on a
 20-vertex star the traced peak is then a fifth of one tuple per
-pruning, and the long joins are faster too.
+pruning.  ``SHARE_PROFILES`` = 1024 is measured, on the trees of the
+benchmark's ``small-queries`` and ``exhaustive`` workloads and on
+20-vertex shapes: sharing every join is half as slow again on the
+small trees; sharing none leaves the median ``small-queries`` call as
+it is, but is a fifth slower at the 90th percentile and two to seven
+times as slow on the 20-vertex shapes; 2048 does as well, and 256 and
+4096 do worse (the timings are in CHANGES.md).
 
 The product route folds coefficient tuples, and ``_times`` does every
 multiplication in it.  When the shorter factor has at most
@@ -63,7 +69,7 @@ from .tree import PlaneTree, _fold, index_tree, vertex_count
 
 MATERIALIZE_LIMIT = 20
 SCHOOLBOOK = 16  # longest shorter factor multiplied term by term; measured, see above
-SHARE_PROFILES = 1 << 10  # joins this long or longer share their tuples; see above
+SHARE_PROFILES = 1 << 10  # joins this long or longer share their tuples; measured, see above
 EVENT_DELTA = 1e-9
 EVENT_BLOCK_BITS = 1 << 24  # vertices x lanes per block of event_frequency
 

@@ -19,13 +19,11 @@ that avoid 213 and 312 respectively.
 
 Nothing here recurses, so trees may be as deep as memory allows: nested
 tuples are folded bottom up by ``_fold``, an explicit-stack traversal
-(Knuth, TAOCP Vol. 1, Section 2.3.1, Algorithm T), where the combine
-does real work, or numbered in preorder by ``_index``; children tables
-are built by one loop over ids.  The text writers run the same stack of
-child iterators inline, and the postorder readings (``fif_from_tree``,
-``perm_from_increasing_tree``) walk preorder with children taken right
-to left, which meets the vertices in reverse postorder; neither makes a
-call per vertex.
+(Knuth, TAOCP Vol. 1, Section 2.3.1, Algorithm T), or numbered in
+preorder by ``_index``; children tables are built by one loop over ids.
+The postorder readings (``fif_from_tree``, ``perm_from_increasing_tree``)
+instead walk preorder with children taken right to left, which meets the
+vertices in reverse postorder, and make no call per vertex.
 """
 
 from __future__ import annotations
@@ -111,21 +109,8 @@ def format_plane_tree(t: PlaneTree) -> str:
     '(() (()))'
     """
     parts: list[str] = []
-    stack: list[Iterator[PlaneTree]] = []  # the child iterators of the open vertices
-    kids = iter((t,))
-    while True:
-        for child in kids:
-            if child:
-                parts.append("(")
-                stack.append(kids)
-                kids = iter(child)
-                break
-            parts.append("()")
-        else:
-            if not stack:
-                return "".join(parts).replace(")(", ") (")
-            parts.append(")")
-            kids = stack.pop()
+    _fold(t, lambda node: parts.append("(") or iter(node), lambda node, _: parts.append(")"))
+    return "".join(parts).replace(")(", ") (")
 
 
 def parse_labeled_tree(text: str) -> LabeledTree:
@@ -167,21 +152,13 @@ def format_labeled_tree(lt: LabeledTree) -> str:
     '1(2(6) 3 4(5 7))'
     """
     parts: list[str] = []  # a space before every label; the replace drops those after '('
-    stack: list[Iterator[LabeledTree]] = []  # the child iterators of the open vertices
-    kids = iter((lt,))
-    while True:
-        for label, grandkids in kids:
-            if grandkids:
-                parts.append(f" {label}(")
-                stack.append(kids)
-                kids = iter(grandkids)
-                break
-            parts.append(f" {label}")
-        else:
-            if not stack:
-                return "".join(parts).replace("( ", "(")[1:]
-            parts.append(")")
-            kids = stack.pop()
+
+    def enter(node: LabeledTree) -> Iterator[LabeledTree]:
+        parts.append(f" {node[0]}(" if node[1] else f" {node[0]}")
+        return iter(node[1])
+
+    _fold(lt, enter, lambda node, _: node[1] and parts.append(")"))
+    return "".join(parts).replace("( ", "(")[1:]
 
 
 # ---------------------------------------------------------------------------
