@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
@@ -154,17 +153,17 @@ def _winner_sign(t) -> str | None:
 def _euler_data(t) -> str | None:
     profiles = poly.pruning_profiles(t)
     phi = poly.game_polynomial(t)
-    cells = len(profiles)
+    cells = sum(profiles.values())
     if geometry.euler_characteristic_complex(phi) != cells:
         return f"cell count mismatch on {tree.format_plane_tree(t)}"
-    ranks = Counter(r for r, _, _ in profiles)
-    direct_real = sum(-count if r % 2 else count for r, count in ranks.items())
+    ranks = [(r, count) for (r, _, _), count in profiles.items()]
+    direct_real = sum(-count if r % 2 else count for r, count in ranks)
     if geometry.euler_characteristic_real(phi) != direct_real:
         return f"real characteristic mismatch on {tree.format_plane_tree(t)}"
     if geometry.euler_characteristic_real(phi) != cells % 2:
         return f"parity mismatch on {tree.format_plane_tree(t)}"
     for q in (2, 3, 5):
-        direct = sum(count * q**r for r, count in ranks.items())
+        direct = sum(count * q**r for r, count in ranks)
         if geometry.point_count(phi, q) != direct:
             return f"point count mismatch at q={q}"
     if geometry.poincare_polynomial(phi)(1) != cells:

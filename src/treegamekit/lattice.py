@@ -106,14 +106,11 @@ class PruningLattice:
             raise ValueError("mask is not a pruning of the base tree")
         return sorted(mask | (1 << v) for v in _bits(self.frontier(mask)))
 
-    def rank_histogram(self) -> list[int]:
+    def rank_polynomial(self) -> poly.Poly:
         out = [0] * self.size
         for m in self.masks:
             out[m.bit_count() - 1] += 1
-        return out
-
-    def rank_polynomial(self) -> poly.Poly:
-        return poly.Poly(self.rank_histogram())
+        return poly.Poly(out)
 
     def pruned_subtree(self, mask: int) -> PlaneTree:
         """The pruning itself as a plane tree (base child order kept)."""

@@ -13,21 +13,14 @@ by the walker in ``tree``, and the event scans the preorder numbering,
 down for the coins and back up for the event, with all trials of a block
 side by side as the bits of Python ints.
 
-A vertex's pruning profiles are built one child at a time: the list so
-far is joined with each of the next child's options (left out, or one of
-its prunings), so every triple costs two additions, in the order
-``itertools.product`` gives over the children.  A profile is a triple of
-small numbers, so a long list holds few distinct ones.  Once a join
-would make ``SHARE_PROFILES`` or more, each distinct triple is joined
-with the options once and the longer list shares those tuples: on a
-20-vertex star the traced peak is then a fifth of one tuple per
-pruning.  ``SHARE_PROFILES`` = 1024 is measured, on the trees of the
-benchmark's ``small-queries`` and ``exhaustive`` workloads and on
-20-vertex shapes: sharing every join is half as slow again on the
-small trees; sharing none leaves the median ``small-queries`` call as
-it is, but is a fifth slower at the 90th percentile and two to seven
-times as slow on the 20-vertex shapes; 2048 does as well, and 256 and
-4096 do worse (the timings are in CHANGES.md).
+A vertex's pruning profiles are a multiset, each distinct triple with
+the number of prunings that share it, built one child at a time: every
+distinct triple so far is joined with each of the next child's options
+(left out, which adds a cover, or one of its distinct triples), and the
+counts multiply.  A profile is a triple of small numbers, so a large
+subtree has far fewer distinct triples than prunings, and no subtree has
+more: the cap on prunings still bounds the work, and ``pruning_profiles``
+checks it by counting first, in O(n), before any join runs.
 
 The product route folds coefficient tuples, and ``_times`` does every
 multiplication in it.  When the shorter factor has at most
@@ -61,7 +54,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -69,9 +61,10 @@ from .tree import PlaneTree, _fold, index_tree, vertex_count
 
 MATERIALIZE_LIMIT = 20
 SCHOOLBOOK = 16  # longest shorter factor multiplied term by term; measured, see above
-SHARE_PROFILES = 1 << 10  # joins this long or longer share their tuples; measured, see above
 EVENT_DELTA = 1e-9
 EVENT_BLOCK_BITS = 1 << 24  # vertices x lanes per block of event_frequency
+
+Profiles = dict[tuple[int, int, bool], int]  # (rank, covers, mover_loses) -> prunings
 
 
 class Poly:
@@ -223,32 +216,33 @@ def _pruning_count(node: PlaneTree, counts: list[int]) -> int:
     return count
 
 
-def _profiles(node: PlaneTree, child_profiles: list[list[tuple[int, int, bool]]]) -> list[tuple[int, int, bool]]:
-    """The node's profiles in ``itertools.product`` order over its children's
-    options, built one child at a time (see the module docstring)."""
-    out = [(0, 0, True)]
+def _profiles(node: PlaneTree, child_profiles: list[Profiles]) -> Profiles:
+    """The node's profile multiset, joined one child at a time (see the
+    module docstring)."""
+    out = {(0, 0, True): 1}
     for ps in child_profiles:
-        # a child left out adds a cover; a child's pruning adds its vertices and covers
-        options = [(0, 1, False), *[(r + 1, c, lost) for r, c, lost in ps]]
-        if len(out) * len(options) < SHARE_PROFILES:
-            out = [(r + r2, c + c2, lost and not lost2) for r, c, lost in out for r2, c2, lost2 in options]
-        else:  # few distinct triples: join each with the options once, and share the tuples
-            joined = {a: [(a[0] + r, a[1] + c, a[2] and not lost) for r, c, lost in options] for a in set(out)}
-            out = [b for a in out for b in joined[a]]
+        joined: Profiles = {}
+        for (r, c, lost), k in out.items():
+            # a child left out adds a cover; a child's pruning adds its vertices and covers
+            joined[r, c + 1, lost] = joined.get((r, c + 1, lost), 0) + k
+            for (r2, c2, lost2), k2 in ps.items():
+                key = (r + r2 + 1, c + c2, lost and not lost2)
+                joined[key] = joined.get(key, 0) + k * k2
+        out = joined
     return out
 
 
-def pruning_profiles(t: PlaneTree) -> list[tuple[int, int, bool]]:
-    """One ``(rank, covers, mover_loses)`` triple for every pruning of
-    ``t`` (the root plus a parent-closed vertex set).  Rank counts the
-    pruning's non-root vertices, covers counts the vertices just outside
-    it whose parent lies inside, and ``mover_loses`` says the pruning,
-    played as its own game tree, is lost by the player to move.
+def pruning_profiles(t: PlaneTree) -> Profiles:
+    """How many prunings of ``t`` (the root plus a parent-closed vertex
+    set) share each ``(rank, covers, mover_loses)`` triple.  Rank counts
+    the pruning's non-root vertices, covers counts the vertices just
+    outside it whose parent lies inside, and ``mover_loses`` says the
+    pruning, played as its own game tree, is lost by the player to move.
 
     Refuses a tree, or subtree, with more than 2^(MATERIALIZE_LIMIT - 1)
     prunings, the most that a materializable lattice (a star with
     MATERIALIZE_LIMIT vertices) has, by a counting pass that checks each
-    running product after every child, before anything is listed; the
+    running product after every child, before any profile is joined; the
     pass runs in postorder and names the first subtree it refuses."""
     _fold(t, iter, _pruning_count)
     return _fold(t, iter, _profiles)
@@ -257,15 +251,12 @@ def pruning_profiles(t: PlaneTree) -> list[tuple[int, int, bool]]:
 def game_polynomial_from_prunings(t: PlaneTree) -> Poly:
     """Signed pruning sum: (-q)^rank * (1+q)^covers over the prunings
     whose game the mover loses.  Agrees with ``game_polynomial``."""
-    counts: Counter[tuple[int, int]] = Counter()
-    for rank, covers, loses in pruning_profiles(t):
-        if loses:
-            counts[rank, covers] += 1
     coeffs = [0] * vertex_count(t)
-    for (rank, covers), mult in counts.items():
-        sign = -1 if rank % 2 else 1
-        for j in range(covers + 1):
-            coeffs[rank + j] += sign * mult * math.comb(covers, j)
+    for (rank, covers, loses), mult in pruning_profiles(t).items():
+        if loses:
+            sign = -1 if rank % 2 else 1
+            for j in range(covers + 1):
+                coeffs[rank + j] += sign * mult * math.comb(covers, j)
     return Poly(coeffs)
 
 

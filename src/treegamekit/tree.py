@@ -125,7 +125,11 @@ def parse_labeled_tree(text: str) -> LabeledTree:
             pos += 1
         if pos == start:
             raise ValueError(f"expected a label at position {start} in labelled-tree text")
-        node = (int(text[start:pos]), ())
+        try:
+            node = (int(text[start:pos]), ())
+        except ValueError:  # past the interpreter's digit limit
+            message = f"label at position {start} is too long ({pos - start} digits) in labelled-tree text"
+            raise ValueError(message) from None
         if pos < n and text[pos] == "(":
             open_nodes.append((node[0], []))
             pos = _skip_ws(text, pos + 1).end()

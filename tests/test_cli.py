@@ -169,6 +169,16 @@ class TestBijection:
         code, out, err = run(capsys, "gamma-inv", "--tree", "1(\u00b2)")
         assert (code, out, err) == (2, "", "error: expected a label at position 2 in labelled-tree text\n")
 
+    @needs_digit_limit
+    def test_label_past_the_digit_limit_is_a_grammar_error(self, capsys):
+        tree_text = "1(" + "9" * 5000 + ")"
+        message = "label at position 2 is too long (5000 digits) in labelled-tree text"
+        code, out, err = run(capsys, "gamma-inv", "--tree", tree_text)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, "--json", "gamma-inv", "--tree", tree_text)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert json.loads(out) == {"error": message, "kind": "input"}
+
 
 class TestJsonErrors:
     """Under --json an exit 2 prints one {"error", "kind"} document on

@@ -14,6 +14,7 @@ RUNS = {
     "sequence_table.py": ["--n-max", "6", "--census-limit", "5"],
     "polynomial_gallery.py": ["--tree", "(() ())"],
     "montecarlo_sweep.py": ["--trees", "3", "--max-size", "4", "--trials", "2000"],
+    "code_lines.py": [],
 }
 
 
