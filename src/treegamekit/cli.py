@@ -232,18 +232,14 @@ def _handle_winner(args) -> Handled:
 def _handle_tamari_fiber(args) -> Handled:
     t = parse_plane_tree(args.tree)
     fib = tamari.fiber(t, limit=_env_cap(tamari.ENUMERATION_LIMIT))
-    lines = [
-        f"top\t{format_permutation(fib.top)}",
-        f"bottom\t{format_permutation(fib.bottom)}",
-        f"size\t{len(fib.members)}",
-    ]
-    lines.extend(f"member\t{format_permutation(p)}" for p in fib.members)
     payload = {
         "tree": format_plane_tree(t) if args.json else None,
         "top": format_permutation(fib.top),
         "bottom": format_permutation(fib.bottom),
         "members": [format_permutation(p) for p in fib.members],
     }
+    lines = [f"top\t{payload['top']}", f"bottom\t{payload['bottom']}", f"size\t{len(fib.members)}"]
+    lines.extend(f"member\t{member}" for member in payload["members"])
     return 0, payload, lines
 
 

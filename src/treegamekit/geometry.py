@@ -122,4 +122,6 @@ def euler_characteristic_complex(phi: Poly) -> int:
 def poincare_polynomial(phi: Poly) -> Poly:
     """The game polynomial with q replaced by q^2 (cells contribute only
     in even degrees)."""
-    return phi.substitute_q_squared()
+    coeffs = [0] * (2 * len(phi.coeffs))
+    coeffs[::2] = phi.coeffs
+    return Poly(coeffs)

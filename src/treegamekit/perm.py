@@ -14,6 +14,11 @@ argument ``n + 1``, is always the sentinel.  Tables arising this way are
 exactly the non-crossing parent tables of plane trees read in postorder,
 which is what ties this module to ``tree`` and ``tamari``.
 
+Avoidance of 312 and 213 is decided by one stack pass, in O(n): a
+permutation avoids 312 exactly when a stack fed 1..n can output it
+(Knuth, TAOCP vol. 1, 2.2.1, ex. 5), and 213 exactly when its reverse
+avoids 312.
+
 Separator placements split a permutation into consecutive blocks.  A
 placement is valid when every block starts with its minimum, it is
 signed by parity of the separator count, and the signed totals over all
@@ -145,7 +150,9 @@ def avoids(p: Sequence[int], pattern: int) -> bool:
     """True when no index triple of ``p`` carries the given pattern.
 
     Pattern 213 looks for i < j < k with p(j) < p(i) < p(k); pattern 312
-    looks for p(j) < p(k) < p(i).
+    looks for p(j) < p(k) < p(i).  Decided by the stack pass of the
+    module docstring: values 1..n go on in order, and ``p`` (or, for 213,
+    its reverse) must come off the top one value at a time.
 
     >>> avoids((1, 7, 2, 3, 5, 6, 4), 213)
     True
@@ -155,23 +162,23 @@ def avoids(p: Sequence[int], pattern: int) -> bool:
     if pattern not in PATTERNS:
         raise ValueError(f"pattern must be one of {PATTERNS}, got {pattern}")
     p = check_permutation(p)
-    for a, b, c in itertools.combinations(p, 3):
-        if pattern == 213:
-            if b < a < c:
-                return False
-        else:
-            if b < c < a:
-                return False
+    stack: list[int] = []
+    pushed = 0  # values 1..pushed have gone onto the stack
+    for v in p if pattern == 312 else reversed(p):
+        while pushed < v:
+            pushed += 1
+            stack.append(pushed)
+        if stack.pop() != v:
+            return False
     return True
 
 
 def weak_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     """Right weak order by inversion-set containment."""
-    a = check_permutation(a)
-    b = check_permutation(b)
+    below, above = inversions(a), inversions(b)  # each validates its permutation
     if len(a) != len(b):
         raise ValueError("permutations must have the same size")
-    return inversions(a) <= inversions(b)
+    return below <= above
 
 
 def enumerate_fixing_one(n: int) -> Iterator[Perm]:
@@ -183,22 +190,15 @@ def enumerate_fixing_one(n: int) -> Iterator[Perm]:
 
 
 class SeparatorPlacement(NamedTuple):
-    """A valid cut of a permutation into blocks, signed by cut parity.
+    """A valid cut of a permutation into blocks.
 
     ``separators`` holds the positions a block starts at (a subset of
-    2..n); validity means every block begins with its minimum.
+    2..n); validity means every block begins with its minimum.  Its size
+    is the placement's rank, and its parity the placement's sign.
     """
 
     perm: Perm
     separators: frozenset[int]
-
-    @property
-    def sign(self) -> int:
-        return -1 if len(self.separators) % 2 else 1
-
-    @property
-    def rank(self) -> int:
-        return len(self.separators)
 
 
 def separator_placements(p: Sequence[int]) -> Iterator[SeparatorPlacement]:

@@ -133,12 +133,6 @@ class Poly:
             scale *= b
         return Fraction(acc, scale // b)
 
-    def substitute_q_squared(self) -> "Poly":
-        out = [0] * (2 * len(self.coeffs))
-        for d, c in enumerate(self.coeffs):
-            out[2 * d] = c
-        return Poly(out)
-
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r})"
 
@@ -211,7 +205,7 @@ def _pruning_count(node: PlaneTree, counts: list[int]) -> int:
         count *= 1 + c
         if count > 1 << (MATERIALIZE_LIMIT - 1):
             raise ValueError(
-                f"a subtree has at least {count} prunings; profiles are listed only up to 2^{MATERIALIZE_LIMIT - 1}"
+                f"a subtree has at least {count} prunings, over the cap of 2^{MATERIALIZE_LIMIT - 1}"
             )
     return count
 

@@ -11,11 +11,18 @@ here by
   what the game can see of them (see ``game``),
 * a recurrence splitting a tree at the subtree containing the top label,
 * a complementary recurrence for the first-player counts.
+
+The separator weights (k-1)! * c(n, k) are listed in one place,
+``_separator_weights``: the Stirling route and ``census_by_stirling_sum``
+take their alternating sum, and ``separator_weight_polynomial`` has them
+as its coefficients, so its value at q = -1 is the same sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable
 
@@ -56,22 +63,18 @@ def stirling_first(n: int, k: int) -> int:
     return _stirling_row(n)[k]
 
 
-def _alternating_sum(row: tuple[int, ...]) -> int:
-    """(-1)^(k-1) * (k-1)! * c(n, k) summed over k = 1..n, for row n."""
-    total = 0
-    factorial = 1  # (k-1)!
-    for k in range(1, len(row)):
-        term = factorial * row[k]
-        total += term if (k - 1) % 2 == 0 else -term
-        factorial *= k
-    return total
+def _separator_weights(row: tuple[int, ...]) -> list[int]:
+    """(k-1)! * c(n, k) for k = 1..n, from row n of c(n, k)."""
+    factorials = itertools.accumulate(range(1, len(row) - 1), operator.mul, initial=1)  # (k-1)!
+    return [f * c for f, c in zip(factorials, row[1:])]
 
 
 def census_by_stirling_sum(n: int) -> int:
     """Alternating sum (-1)^(k-1) * (k-1)! * c(n, k) over k = 1..n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _alternating_sum(_stirling_row(n))
+    weights = _separator_weights(_stirling_row(n))
+    return sum(weights[::2]) - sum(weights[1::2])
 
 
 def census_by_egf(n_max: int) -> list[int]:
@@ -138,7 +141,9 @@ def census_by_complement_recurrence(n_max: int) -> list[int]:
 # each route by name, as (n_max, census_limit) -> values for n = 1..n_max;
 # only the census route reads its limit
 METHODS: dict[str, Callable[[int, int], list[int]]] = {
-    "stirling": lambda n_max, census_limit: [_alternating_sum(row) for row in _stirling_rows(n_max)][1:],
+    "stirling": lambda n_max, census_limit: [
+        sum(w[::2]) - sum(w[1::2]) for w in map(_separator_weights, _stirling_rows(n_max))
+    ][1:],
     "egf": lambda n_max, census_limit: census_by_egf(n_max),
     "census": lambda n_max, census_limit: [
         game.census_second_player_wins(n, limit=census_limit) for n in range(1, n_max + 1)
@@ -162,10 +167,4 @@ def separator_weight_polynomial(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    row = _stirling_row(n)
-    coeffs = []
-    factorial = 1  # (k-1)!
-    for k in range(1, n + 1):
-        coeffs.append(factorial * row[k])
-        factorial *= k
-    return Poly(coeffs)
+    return Poly(_separator_weights(_stirling_row(n)))

@@ -19,13 +19,20 @@ by walking both increasing chains.
 projections (fiber top and fiber bottom) preserve weak order, and that
 every fiber has its hook count of members.  Weak order is the
 transitive closure of its covers, so the projections are checked on
-covers only; its intervals are connected under covers, so each fiber is
-compared with an upward cover search from its bottom, bounded by its
-top.  The sweep never looks a permutation up: ``enumerate_fixing_one``
-is lexicographic, so a permutation's index is its Lehmer rank, and an
-up-cover, which raises one Lehmer digit by 1, sits a factorial further
-on; inversion masks pass from each permutation to its up-covers, one
-bit at a time, in index order (``_covers_by_rank``).
+covers only.  A fiber is the interval [bottom, top] exactly when (i)
+every member's inversion mask lies between the bottom's and the top's,
+and (ii) no up-cover from a member to a permutation still below the top
+leaves the fiber: (i) puts the fiber inside the interval, and a chain of
+up-covers from the bottom to any permutation of the interval stays below
+the top, so by (ii) it never leaves the fiber.  (i) is checked fiber by
+fiber, and (ii) in the one pass over covers that checks the projections.
+The sweep keeps no permutation index: each fiber's extremes are found
+among its own members, and each permutation knows its fiber by position
+(``fiber_of``).  ``enumerate_fixing_one`` is lexicographic, so a
+permutation's position is its Lehmer rank, and an up-cover, which raises
+one Lehmer digit by 1, sits a factorial further on; inversion masks pass
+from each permutation to its up-covers, one bit at a time, in position
+order (``_covers_by_rank``).
 """
 
 from __future__ import annotations
@@ -284,8 +291,8 @@ def _covers_by_rank(perms: Sequence[Perm]) -> tuple[list[list[int]], list[int]]:
 def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceReport:
     """Exhaustively check, for size ``n``, that the fibers of the
     first-inversion tree map are weak-order intervals with pattern-
-    avoiding extremes, that both interval projections are monotone,
-    walking weak-order covers as the module docstring describes, and
+    avoiding extremes, by parts (i) and (ii) of the module docstring,
+    that both interval projections are monotone on weak-order covers, and
     that each fiber's size is its tree's hook count, the counts summing
     to (n - 1)!."""
     if n < 1:
@@ -294,17 +301,17 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
         raise ValueError(f"congruence check for n = {n} exceeds the limit {limit}")
 
     perms = list(enumerate_fixing_one(n))
-    index = {p: i for i, p in enumerate(perms)}
     up, mask_of = _covers_by_rank(perms)
 
     fibers: dict[tuple[int, ...], list[int]] = {}
-    for p, i in index.items():
+    for i, p in enumerate(perms):
         fibers.setdefault(_first_inversions(p), []).append(i)  # p comes from enumerate_fixing_one
 
     interval_bad: list[str] = []
     hook_bad: list[str] = []
     hook_total = 0
     top_of, bottom_of = [0] * len(perms), [0] * len(perms)
+    fiber_of: list[tuple | None] = [None] * len(perms)  # (table, bottom, top), one object per fiber
     for fif, members in fibers.items():
         hooks = _hook_count(fif)
         hook_total += hooks
@@ -313,27 +320,21 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
         tree = tree_from_first_inversions(fif)
         top = perm_from_increasing_tree(eastpush_labeling(tree))
         bottom = perm_from_increasing_tree(westpop_labeling(tree))
-        member_set = set(members)
-        if index.get(top) not in member_set or index.get(bottom) not in member_set:
+        masks = {perms[i]: mask_of[i] for i in members}
+        if top not in masks or bottom not in masks:
             interval_bad.append(f"extremes escape fiber {fif}")
             continue
-        tm, bm = mask_of[index[top]], mask_of[index[bottom]]
+        tm, bm = masks[top], masks[bottom]
         if not avoids(top, 213):
             interval_bad.append(f"top {top} contains 213")
         if not avoids(bottom, 312):
             interval_bad.append(f"bottom {bottom} contains 312")
-        reached = {index[bottom]} if bm & ~tm == 0 else set()
-        stack = list(reached)
-        while stack:
-            for j in up[stack.pop()]:
-                if j not in reached and mask_of[j] & ~tm == 0:
-                    reached.add(j)
-                    stack.append(j)
-        if reached != member_set:
-            p = perms[min(reached ^ member_set)]
-            interval_bad.append(f"fiber {fif} is not the interval [{bottom}, {top}] at {p}")
+        outside = [p for p, mask in masks.items() if bm & ~mask or mask & ~tm]  # part (i)
+        if outside:
+            interval_bad.append(f"fiber {fif} is not the interval [{bottom}, {top}] at {outside[0]}")
+        named = (fif, bottom, top)
         for i in members:
-            top_of[i], bottom_of[i] = tm, bm
+            top_of[i], bottom_of[i], fiber_of[i] = tm, bm, named
 
     if hook_total != math.factorial(n - 1):
         hook_bad.append(f"hook counts sum to {hook_total}, not {n - 1}!")
@@ -346,6 +347,9 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
                 up_bad.append(f"upper projection reverses {perms[i]} <= {perms[j]}")
             if bottom_of[i] & ~bottom_of[j] != 0:
                 down_bad.append(f"lower projection reverses {perms[i]} <= {perms[j]}")
+            if fiber_of[j] is not fiber_of[i] and mask_of[j] & ~top_of[i] == 0:  # part (ii)
+                fif, bottom, top = fiber_of[i]
+                interval_bad.append(f"fiber {fif} is not the interval [{bottom}, {top}] at {perms[j]}")
 
     def result(name: str, bad: list[str]) -> CheckResult:
         if not bad:

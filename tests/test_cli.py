@@ -254,6 +254,18 @@ class TestLabelAndAvoid:
         )
         assert (code, out.strip()) == (0, "false")
 
+    def test_avoid_long_permutation(self, capsys):
+        # the stack pass is linear; a scan over all triples would take
+        # hours at this length
+        ident = ",".join(map(str, range(1, 5001)))
+        late = ",".join(map(str, (1, 5000, *range(2, 5000))))  # 5000, 2, 3 is a 312
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "avoid", "--perm", ident, "--pattern", "213")
+        assert (code, out) == (0, "true\n")
+        code, out, _ = run(capsys, "--json", "avoid", "--perm", late, "--pattern", "312")
+        assert code == 0 and json.loads(out)["avoids"] is False
+        assert time.perf_counter() - start < 1
+
 
 class TestPhi:
     def test_text(self, capsys):
@@ -280,7 +292,7 @@ class TestPhi:
         code, out, err = run(capsys, "phi", "--tree", star, "--via", "prunings")
         assert code == 2
         assert out == ""
-        assert "error:" in err and "1048576 prunings" in err
+        assert "error:" in err and "1048576 prunings, over the cap of 2^19" in err
 
     def test_eval_fraction(self, capsys):
         code, out, _ = run(

@@ -5,6 +5,8 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treegamekit import geometry
 from treegamekit.game import Winner, winner
@@ -178,6 +180,14 @@ class TestPoincare:
     def test_value_at_one_counts_cells(self):
         for t in plane_trees(6):
             assert poincare_polynomial(game_polynomial(t))(1) == len(PruningLattice(t))
+
+    def test_q_squared(self):
+        assert poincare_polynomial(Poly((1, 2, 3))) == Poly((1, 0, 2, 0, 3))
+        assert poincare_polynomial(Poly()) == Poly()
+
+    @given(st.lists(st.integers(-9, 9), max_size=6), st.integers(-5, 5))
+    def test_q_squared_agrees_with_eval(self, a, x):
+        assert poincare_polynomial(Poly(a))(x) == Poly(a)(x * x)
 
 
 class TestCellComplex:

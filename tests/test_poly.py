@@ -153,15 +153,6 @@ class TestPolyArithmetic:
         assert (pa + ONE)(x) == pa(x) + 1
 
 
-class TestSubstitutions:
-    def test_q_squared(self):
-        assert Poly((1, 2, 3)).substitute_q_squared() == Poly((1, 0, 2, 0, 3))
-
-    @given(coeff_lists, st.integers(-5, 5))
-    def test_q_squared_agrees_with_eval(self, a, x):
-        assert Poly(a).substitute_q_squared()(x) == Poly(a)(x * x)
-
-
 class TestFormatting:
     def test_examples(self):
         assert str(ZERO) == "0"

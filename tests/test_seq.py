@@ -173,6 +173,9 @@ class TestSeparatorWeights:
                 census_by_stirling_sum(n)
             )
 
+    def test_stirling_route_is_the_polynomial_at_minus_one(self):
+        assert METHODS["stirling"](60, 0) == [separator_weight_polynomial(n)(-1) for n in range(1, 61)]
+
     def test_total_weight_is_row_of_placements(self):
         # evaluating at 1 counts every placement of every permutation
         from treegamekit.perm import enumerate_fixing_one, separator_placements

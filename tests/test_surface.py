@@ -275,47 +275,75 @@ UNREFERENCED_ALLOWED = {
     "is_increasing": "the predicate perm_from_increasing_tree checks, library API",
     "__getattr__": "called by the interpreter (PEP 562)",
     "PruningLattice.covers_above": "called by perfbench/harness.py make_api",
+    "_Parser.error": "called by argparse on a command line it cannot read",
 }
 
 
-def _names(tree):
-    """Every name used in ``tree``, bare or as an attribute."""
+def _names(tree, bare=True):
+    """Every name used in ``tree`` as an attribute, and bare unless
+    ``bare`` is false."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if bare and isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
 
 
-def test_every_definition_is_reached():
-    # a module-level def or class, and a method other than a dunder, must
-    # be named somewhere in the package outside its own body; a module-level
-    # name in __all__ counts as reached.  Code that only tests reach belongs
-    # in the tests.
-    package = Path(treegamekit.__file__).parent
-    modules = [ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))]
-    uses = Counter(name for module in modules for name in _names(module))
+def _unreached(modules):
+    """Definitions in ``modules`` that nothing outside their own body
+    names: a module-level def or class by any use of its name, bare or as
+    an attribute, unless it is in __all__; a method other than a dunder
+    only by an attribute use (``x.name``), so that a local variable of
+    the same name does not count."""
+    uses = {bare: Counter(name for module in modules for name in _names(module, bare)) for bare in (True, False)}
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    def reached(defn):
-        return uses[defn.name] > Counter(_names(defn))[defn.name]
+    def reached(defn, bare):
+        return uses[bare][defn.name] > Counter(_names(defn, bare))[defn.name]
 
-    found = []
     for module in modules:
         for defn in module.body:
             if not isinstance(defn, (*functions, ast.ClassDef)):
                 continue
-            if not reached(defn) and defn.name not in treegamekit.__all__ and defn.name not in UNREFERENCED_ALLOWED:
-                found.append(defn.name)
+            if not reached(defn, True) and defn.name not in treegamekit.__all__:
+                yield defn.name
             if not isinstance(defn, ast.ClassDef):
                 continue
             for method in defn.body:
-                if not isinstance(method, functions) or method.name.startswith("__"):
-                    continue
-                name = f"{defn.name}.{method.name}"
-                if not reached(method) and name not in UNREFERENCED_ALLOWED:
-                    found.append(name)
-    assert found == []
+                if isinstance(method, functions) and not method.name.startswith("__") and not reached(method, False):
+                    yield f"{defn.name}.{method.name}"
+
+
+def test_unreached_detector():
+    source = """
+class Placement:
+    @property
+    def sign(self):
+        return 1
+
+    def used(self):
+        return -1
+
+
+def caller(p):
+    sign = p.used()
+    return sign
+
+
+def orphan():
+    pass
+
+
+caller(Placement())
+"""
+    assert list(_unreached([ast.parse(source)])) == ["Placement.sign", "orphan"]
+
+
+def test_every_definition_is_reached():
+    # code that only tests reach belongs in the tests
+    package = Path(treegamekit.__file__).parent
+    modules = [ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))]
+    assert [name for name in _unreached(modules) if name not in UNREFERENCED_ALLOWED] == []
 
 
 def _caps_outside_the_table(module):

@@ -503,6 +503,23 @@ class TestCongruence:
         detail = report.checks[0].details
         assert "is not the interval" in detail and " at (1, " in detail
 
+    def test_misfiled_permutation_fails_the_interval(self, monkeypatch):
+        # one permutation, neither extreme of its fiber, filed under the
+        # identity's: that fiber gains a member outside its interval, which
+        # part (i) names, and the home fiber a hole below its top, which
+        # only part (ii), on the covers, can see
+        n = 5
+        real = tamari._first_inversions
+        home = next(f for f in map(fiber, plane_trees(n)) if len(f.members) > 2)
+        stray = next(p for p in home.members if p not in (home.top, home.bottom))
+        identity = tuple(range(1, n + 1))
+        star = real(identity)
+        monkeypatch.setattr(tamari, "_first_inversions", lambda p: star if p == stray else real(p))
+        interval = verify_congruence(n).checks[0]
+        assert interval.name == "fiber-interval" and not interval.passed
+        assert f"fiber {star} is not the interval [{identity}, {identity}] at {stray}" in interval.details
+        assert f"fiber {real(stray)} is not the interval [{home.bottom}, {home.top}] at {stray}" in interval.details
+
     def test_up_covers_add_one_inversion(self):
         for n in range(1, 7):
             perms = list(enumerate_fixing_one(n))
