@@ -31,7 +31,6 @@ _EXPORTS = {
     "game": ("Winner", "census_second_player_wins", "optimal_move", "winner"),
     "lattice": ("PruningLattice", "placements_match_prunings", "rank_generating_function"),
     "perm": (
-        "SeparatorPlacement",
         "avoids",
         "enumerate_fixing_one",
         "first_inversions",

@@ -85,8 +85,7 @@ def _pattern_bijections(n: int) -> str | None:
     if len(west) != len(shapes) or any(len(v) != 1 for v in west.values()):
         return f"312 avoiders do not match trees at n={n}"
     for shape in shapes:
-        top = tree.perm_from_increasing_tree(tree.eastpush_labeling(shape))
-        bottom = tree.perm_from_increasing_tree(tree.westpop_labeling(shape))
+        top, bottom = tamari._extremes(shape)
         if east[shape] != [top] or west[shape] != [bottom]:
             return f"stack labelings miss extremes at n={n}"
 

@@ -70,7 +70,6 @@ class PruningLattice:
             raise ValueError(
                 f"tree has {size} vertices; lattices are materialized only up to {MATERIALIZE_LIMIT}"
             )
-        self.base = base
         self.index = index_tree(base)
         self.size = size
         self.masks = _subtree_masks(self.index)
@@ -149,12 +148,11 @@ def placements_match_prunings(p: Sequence[int]) -> bool:
     lat = PruningLattice(tree_of_index(idx.children))
     id_of = {lbl: v for v, lbl in enumerate(labels)}
 
-    count = 0
-    for placement in separator_placements(p):
+    placements = separator_placements(p)
+    for cuts in placements:
         m = 1
-        for i in placement.separators:
+        for i in cuts:
             m |= 1 << id_of[p[i - 1]]
         if m not in lat:
             return False
-        count += 1
-    return count == len(lat)
+    return len(placements) == len(lat)

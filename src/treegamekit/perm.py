@@ -31,7 +31,7 @@ value exceeds the block's first.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -189,32 +189,20 @@ def enumerate_fixing_one(n: int) -> Iterator[Perm]:
         yield (1, *rest)
 
 
-class SeparatorPlacement(NamedTuple):
-    """A valid cut of a permutation into blocks.
-
-    ``separators`` holds the positions a block starts at (a subset of
-    2..n); validity means every block begins with its minimum.  Its size
-    is the placement's rank, and its parity the placement's sign.
-    """
-
-    perm: Perm
-    separators: frozenset[int]
-
-
-def separator_placements(p: Sequence[int]) -> Iterator[SeparatorPlacement]:
-    """All valid separator placements of ``p``, by size then position.
+def separator_placements(p: Sequence[int]) -> list[tuple[int, ...]]:
+    """All valid separator placements of ``p``, in scan order, each as the
+    ascending tuple of positions its blocks start at (a subset of 2..n).
+    Its size is the placement's rank, and its parity the placement's sign.
 
     The scan over positions 2..n carries each partial placement's open
     block's first value, so a position joins that block only when its value
-    is larger (the block-minimum rule).  It holds all of p's placements, to
-    sort them, before it yields the first."""
+    is larger (the block-minimum rule)."""
     p = check_fixes_one(p)
     partial: list[tuple[tuple[int, ...], int]] = [((), p[0])]  # (cuts, open block's first value)
     for i in range(2, len(p) + 1):
         v = p[i - 1]
         partial = [(cuts + (i,), v) for cuts, _ in partial] + [pair for pair in partial if v > pair[1]]
-    for cuts in sorted((cuts for cuts, _ in partial), key=lambda cuts: (len(cuts), cuts)):
-        yield SeparatorPlacement(p, frozenset(cuts))
+    return [cuts for cuts, _ in partial]
 
 
 def _signed_placements(p: Perm) -> int:

@@ -231,6 +231,12 @@ def _fiber_members(fif: Sequence[int]) -> list[Perm]:
         i += 1
 
 
+def _extremes(tree: PlaneTree) -> tuple[Perm, Perm]:
+    """The top and bottom of ``tree``'s fiber: the permutations read off
+    its east-push and west-pop labelings."""
+    return perm_from_increasing_tree(eastpush_labeling(tree)), perm_from_increasing_tree(westpop_labeling(tree))
+
+
 def fiber(tree: PlaneTree, limit: int = ENUMERATION_LIMIT) -> Fiber:
     """Materialize a fiber, its members sorted; the top and bottom come
     from the two stack labelings.  Refused when it has more members than
@@ -244,8 +250,7 @@ def fiber(tree: PlaneTree, limit: int = ENUMERATION_LIMIT) -> Fiber:
             raise ValueError(f"fiber of {count} members exceeds the cap {cap} = ({limit} - 1)!")
     members = _fiber_members(fif)
     members.sort()
-    top = perm_from_increasing_tree(eastpush_labeling(tree))
-    bottom = perm_from_increasing_tree(westpop_labeling(tree))
+    top, bottom = _extremes(tree)
     if top not in members or bottom not in members:
         raise AssertionError("stack labelings must land in their own fiber")
     return Fiber(tree, tuple(members), top, bottom)
@@ -318,8 +323,7 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
         if hooks != len(members):
             hook_bad.append(f"fiber {fif} has {len(members)} members, hook count {hooks}")
         tree = tree_from_first_inversions(fif)
-        top = perm_from_increasing_tree(eastpush_labeling(tree))
-        bottom = perm_from_increasing_tree(westpop_labeling(tree))
+        top, bottom = _extremes(tree)
         masks = {perms[i]: mask_of[i] for i in members}
         if top not in masks or bottom not in masks:
             interval_bad.append(f"extremes escape fiber {fif}")

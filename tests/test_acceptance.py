@@ -239,8 +239,8 @@ def test_acceptance_placements():
             assert placements_match_prunings(p)
             shape = plane_shape(first_inversion_tree(p))
             by_rank = {}
-            for pl in separator_placements(p):
-                rank = len(pl.separators)
+            for cuts in separator_placements(p):
+                rank = len(cuts)
                 by_rank[rank] = by_rank.get(rank, 0) + 1
             hist = PruningLattice(shape).rank_polynomial()
             assert Poly([by_rank.get(r, 0) for r in range(n)]) == hist

@@ -287,10 +287,10 @@ class TestPlacementCorrespondence:
                 idx, labels = index_labeled_tree(first_inversion_tree(p))
                 id_of = {lbl: v for v, lbl in enumerate(labels)}
                 mapped = []
-                for placement in separator_placements(p):
-                    m = functools.reduce(operator.or_, (1 << id_of[p[i - 1]] for i in placement.separators), 1)
-                    assert m.bit_count() - 1 == len(placement.separators)
-                    mapped.append((placement.separators, m))
+                for cuts in separator_placements(p):
+                    m = functools.reduce(operator.or_, (1 << id_of[p[i - 1]] for i in cuts), 1)
+                    assert m.bit_count() - 1 == len(cuts)
+                    mapped.append((frozenset(cuts), m))
                 assert len({m for _, m in mapped}) == len(mapped)
                 for s1, m1 in mapped:
                     for s2, m2 in mapped:

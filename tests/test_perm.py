@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegamekit.perm import (
-    SeparatorPlacement,
     _signed_placements,
     avoids,
     check_first_inversions,
@@ -70,13 +69,13 @@ def placement_is_valid(p, separators):
 
 def filtered_placements(p):
     """Every cut set of positions 2..n that passes the block-minimum rule,
-    by size then position: the 2^(n-1) subset filter."""
+    as an ascending tuple, by size then position: the 2^(n-1) subset filter."""
     p = check_fixes_one(p)
     n = len(p)
     for r in range(n):
         for combo in itertools.combinations(range(2, n + 1), r):
             if placement_is_valid(p, combo):
-                yield SeparatorPlacement(p, frozenset(combo))
+                yield combo
 
 
 def brute_inversions(p):
@@ -427,29 +426,22 @@ class TestEnumeration:
 
 class TestSeparatorPlacements:
     def test_identity_n3(self):
-        got = {pl.separators for pl in separator_placements((1, 2, 3))}
-        assert got == {
-            frozenset(),
-            frozenset({2}),
-            frozenset({3}),
-            frozenset({2, 3}),
-        }
+        assert set(separator_placements((1, 2, 3))) == {(), (2,), (3,), (2, 3)}
 
     def test_single_descent_n3(self):
-        got = {pl.separators for pl in separator_placements((1, 3, 2))}
-        assert got == {frozenset(), frozenset({3}), frozenset({2, 3})}
+        assert set(separator_placements((1, 3, 2))) == {(), (3,), (2, 3)}
 
     def test_sign_and_rank(self):
-        # a placement's rank is its separator count, and its sign that count's parity
-        pl = SeparatorPlacement((1, 3, 2), frozenset({2, 3}))
-        assert len(pl.separators) == 2
-        assert [len(other.separators) % 2 for other in separator_placements((1, 3, 2))] == [0, 1, 0]
+        # a placement's rank is its cut count, and its sign that count's parity
+        ranks = sorted(len(cuts) for cuts in separator_placements((1, 3, 2)))
+        assert ranks == [0, 1, 2]
+        assert sum((-1) ** rank for rank in ranks) == 1
 
     def test_block_minimum_rule_directly(self):
         # separators cut the word into blocks; each block must start at
         # its own minimum
         for p in enumerate_fixing_one(5):
-            valid = {pl.separators for pl in separator_placements(p)}
+            valid = set(separator_placements(p))
             for size in range(5):
                 for combo in itertools.combinations(range(2, 6), size):
                     starts = sorted((1, *combo))
@@ -458,7 +450,7 @@ class TestSeparatorPlacements:
                         p[a - 1] == min(p[a - 1 : b - 1])
                         for a, b in zip(starts, ends)
                     )
-                    assert (frozenset(combo) in valid) == ok
+                    assert (combo in valid) == ok
 
     def test_closure_rule_matches_block_rule(self):
         for n in range(1, 7):
@@ -471,15 +463,17 @@ class TestSeparatorPlacements:
                         )
 
     def test_scan_matches_subset_filter(self):
-        # same placements in the same order, for every p fixing 1 up to n = 7
-        for n in range(1, 8):
+        # the same cut tuples, each once, for every p fixing 1 up to n = 8
+        for n in range(1, 9):
             for p in enumerate_fixing_one(n):
-                assert list(separator_placements(p)) == list(filtered_placements(p))
+                got, want = separator_placements(p), list(filtered_placements(p))
+                assert set(got) == set(want) and len(got) == len(want), p
 
     @settings(max_examples=60, deadline=None)
     @given(perms_fixing_one(max_n=12))
     def test_scan_matches_subset_filter_large(self, p):
-        assert list(separator_placements(p)) == list(filtered_placements(p))
+        got, want = separator_placements(p), list(filtered_placements(p))
+        assert set(got) == set(want) and len(got) == len(want)
 
     @given(perms_fixing_one(max_n=7))
     def test_empty_always_valid(self, p):
@@ -499,7 +493,7 @@ class TestSeparatorPlacements:
         for n in range(1, 9):
             total = 0
             for p in enumerate_fixing_one(n):
-                signs = sum((-1) ** len(pl.separators) for pl in separator_placements(p))
+                signs = sum((-1) ** len(cuts) for cuts in separator_placements(p))
                 assert _signed_placements(p) == signs, p
                 total += signs
             assert signed_placement_total(n) == total, n

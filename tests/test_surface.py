@@ -23,7 +23,6 @@ PUBLIC = [
     "PruningLattice",
     "placements_match_prunings",
     "rank_generating_function",
-    "SeparatorPlacement",
     "avoids",
     "enumerate_fixing_one",
     "first_inversions",
@@ -344,6 +343,52 @@ def test_every_definition_is_reached():
     package = Path(treegamekit.__file__).parent
     modules = [ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))]
     assert [name for name in _unreached(modules) if name not in UNREFERENCED_ALLOWED] == []
+
+
+# Attributes stored on ``self`` that nothing in the package reads, each
+# with the reason it stays.
+UNREAD_ALLOWED: dict[str, str] = {}
+
+
+def _unread_attributes(modules):
+    """Attribute names stored on ``self`` in ``modules`` that no code
+    there reads as ``x.name``, sorted; an augmented assignment reads its
+    target."""
+    stored, read = set(), set()
+    for module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self":
+                    stored.add(node.attr)
+    return sorted(stored - read)
+
+
+def test_unread_attribute_detector():
+    source = """
+class Box:
+    def __init__(self, items):
+        self.items = items
+        self.unused = len(items)
+        self.count, self.spare = 0, None
+        self._seen = set()
+
+    def add(self, x):
+        self.count += 1
+        self._seen.add(x)
+        other.orphan = x
+        return self.items
+"""
+    assert _unread_attributes([ast.parse(source)]) == ["spare", "unused"]
+
+
+def test_every_attribute_is_read():
+    package = Path(treegamekit.__file__).parent
+    modules = [ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))]
+    assert [name for name in _unread_attributes(modules) if name not in UNREAD_ALLOWED] == []
 
 
 def _caps_outside_the_table(module):
