@@ -85,7 +85,7 @@ def _pattern_bijections(n: int) -> str | None:
     if len(west) != len(shapes) or any(len(v) != 1 for v in west.values()):
         return f"312 avoiders do not match trees at n={n}"
     for shape in shapes:
-        top, bottom = tamari._extremes(shape)
+        top, bottom = tamari._extremes(tree.fif_from_tree(shape))
         if east[shape] != [top] or west[shape] != [bottom]:
             return f"stack labelings miss extremes at n={n}"
 

@@ -16,7 +16,8 @@ refuse larger n, and a fiber with more than (TGK_MAX_N - 1)! members.
 A process loads only the modules its command runs.  ``tree``, ``perm`` and
 ``report`` are loaded here, as every job needs them; the other modules are
 bound by the package, set to load on their first attribute access, and the
-parser reads none of them but ``seq``, whose method names ``--method`` offers.
+parser reads none of them: ``--method`` names ``seq``'s methods itself,
+and ``fractions`` is imported only to read a rational ``--eval`` or ``--q``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__, checks, game, geometry, lattice, poly, seq, tamari, tree
 from .perm import avoids, format_permutation, parse_permutation
-from .report import VerifyConfig
+from .report import CENSUS_LIMIT, VerifyConfig
 from .tree import (
     format_labeled_tree,
     format_plane_tree,
@@ -39,7 +40,12 @@ from .tree import (
     parse_plane_tree,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 Handled = tuple[int, dict, list[str]]
+
+_SEQ_METHODS = ("stirling", "egf", "census", "split", "complement")  # seq.METHODS, named without loading seq
 
 
 def _env_cap(default: int) -> int:
@@ -62,6 +68,8 @@ def _positive(name: str, value: int) -> int:
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -96,7 +104,7 @@ def _exact_digits():
 
 def _handle_seq(args) -> Handled:
     n = _positive("--n", args.n)
-    cap = _env_cap(game.CENSUS_LIMIT)
+    cap = _env_cap(CENSUS_LIMIT)
     if (args.all_methods or args.method == "census") and n > cap:
         raise ValueError(f"census method is capped at n = {cap}; set TGK_MAX_N to raise it")
     if args.all_methods:
@@ -310,7 +318,7 @@ def _handle_verify(args) -> Handled:
         seed=args.seed,
         samples=_positive("--samples", args.samples),
         trials=_positive("--trials", args.trials),
-        census_limit=_env_cap(game.CENSUS_LIMIT),
+        census_limit=_env_cap(CENSUS_LIMIT),
     )
     results = checks.run_verify(cfg)
     ok = all(r.passed for r in results)
@@ -358,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("seq", _handle_seq, "the census sequence, five ways")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=seq.METHODS, default="stirling")
+    p.add_argument("--method", choices=_SEQ_METHODS, default="stirling")
     p.add_argument("--all-methods", action="store_true")
 
     p = command("stirling", _handle_stirling, "unsigned Stirling numbers, first kind")

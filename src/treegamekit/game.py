@@ -16,10 +16,8 @@ from __future__ import annotations
 import enum
 import math
 
+from .report import CENSUS_LIMIT
 from .tree import PlaneTree, _fold
-
-# Census cap unless a caller raises it: n = 20 takes about 0.1 s.
-CENSUS_LIMIT = 20
 
 
 class Winner(enum.Enum):

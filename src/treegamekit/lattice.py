@@ -8,9 +8,10 @@ moves add one frontier vertex (a vertex outside whose parent is inside).
 
 The masks are listed bottom up over descending preorder ids, each
 vertex's list extended one child at a time by every join of a mask so
-far with one of the child's, so each mask costs one ``|``.  They are then
-ordered by rank, then value, by two sorts with built-in keys: by value,
-then stably by ``int.bit_count``.
+far with one of the child's, so each mask costs one ``|``.  The joins are
+taken child mask by child mask, and a child's preorder ids exceed every
+id listed before it, so the listing comes out ascending by value; one
+stable sort by ``int.bit_count`` then orders it by rank, then value.
 
 The rank generating function of this lattice is the game polynomial, so
 ``rank_generating_function`` is the product over root subtrees
@@ -27,15 +28,7 @@ from typing import Iterator, Sequence
 from . import poly
 from .perm import separator_placements
 from .poly import MATERIALIZE_LIMIT
-from .tree import (
-    PlaneTree,
-    TreeIndex,
-    first_inversion_tree,
-    index_labeled_tree,
-    index_tree,
-    tree_of_index,
-    vertex_count,
-)
+from .tree import PlaneTree, _first_inversion_children, index_tree, tree_of_index, vertex_count
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -45,18 +38,27 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _subtree_masks(idx: TreeIndex) -> list[int]:
-    """Every pruning's mask, built over descending preorder ids: a vertex's
-    list starts as its own bit, and each child in turn adds every mask so
-    far joined with every mask of the child's."""
+def _subtree_masks(children: Sequence[Sequence[int]]) -> list[int]:
+    """Every pruning's mask of the tree below vertex 0 of ``children``, a
+    children table whose child ids exceed their parent's, built over
+    descending ids: a vertex's list starts as its own bit, and each child
+    in turn adds every mask so far joined with each of the child's masks,
+    taken child mask by child mask.  Over preorder ids each child's bits
+    lie above every bit so far, so the list comes out ascending."""
     below: dict[int, list[int]] = {}
-    for v in range(len(idx.parent) - 1, -1, -1):
+    for v in range(len(children) - 1, -1, -1):
         out = [1 << v]
-        for c in idx.children[v]:
+        for c in children[v]:
             child_masks = below.pop(c)
-            out += [a | b for a in out for b in child_masks]
+            out += [a | b for b in child_masks for a in out]
         below[v] = out
     return below[0]
+
+
+def _check_size(size: int) -> None:
+    """Refuse a tree too large to list the prunings of."""
+    if size > MATERIALIZE_LIMIT:
+        raise ValueError(f"tree has {size} vertices; lattices are materialized only up to {MATERIALIZE_LIMIT}")
 
 
 class PruningLattice:
@@ -66,14 +68,10 @@ class PruningLattice:
 
     def __init__(self, base: PlaneTree):
         size = vertex_count(base)
-        if size > MATERIALIZE_LIMIT:
-            raise ValueError(
-                f"tree has {size} vertices; lattices are materialized only up to {MATERIALIZE_LIMIT}"
-            )
+        _check_size(size)
         self.index = index_tree(base)
         self.size = size
-        self.masks = _subtree_masks(self.index)
-        self.masks.sort()
+        self.masks = _subtree_masks(self.index.children)
         self.masks.sort(key=int.bit_count)  # stable, so by rank, then by value
         self._members = frozenset(self.masks)
         childmask = [0] * size
@@ -143,16 +141,15 @@ def placements_match_prunings(p: Sequence[int]) -> bool:
     distinct images, and S1 is a subset of S2 exactly when image 1 is of
     image 2; with every image a pruning and as many sets as prunings, the
     map is onto as well."""
-    lt = first_inversion_tree(p)
-    idx, labels = index_labeled_tree(lt)
-    lat = PruningLattice(tree_of_index(idx.children))
-    id_of = {lbl: v for v, lbl in enumerate(labels)}
+    children = _first_inversion_children(p)  # by label - 1, so vertex p(i) has bit p(i) - 1
+    _check_size(len(children))
+    prunings = frozenset(_subtree_masks(children))
 
     placements = separator_placements(p)
     for cuts in placements:
         m = 1
         for i in cuts:
-            m |= 1 << id_of[p[i - 1]]
-        if m not in lat:
+            m |= 1 << (p[i - 1] - 1)
+        if m not in prunings:
             return False
-    return len(placements) == len(lat)
+    return len(placements) == len(prunings)

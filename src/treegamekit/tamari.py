@@ -26,13 +26,16 @@ leaves the fiber: (i) puts the fiber inside the interval, and a chain of
 up-covers from the bottom to any permutation of the interval stays below
 the top, so by (ii) it never leaves the fiber.  (i) is checked fiber by
 fiber, and (ii) in the one pass over covers that checks the projections.
-The sweep keeps no permutation index: each fiber's extremes are found
-among its own members, and each permutation knows its fiber by position
-(``fiber_of``).  ``enumerate_fixing_one`` is lexicographic, so a
-permutation's position is its Lehmer rank, and an up-cover, which raises
-one Lehmer digit by 1, sits a factorial further on; inversion masks pass
-from each permutation to its up-covers, one bit at a time, in position
-order (``_covers_by_rank``).
+The sweep keeps no permutation index.  Each fiber's extremes are read
+off its table (``_extremes``): the tree's vertices are numbered in the
+pop order of the west-pop walk and in the push order of the east-push
+walk, and both numberings are read by postorder position.  Each
+permutation knows its fiber by position (``fiber_of``), and
+``enumerate_fixing_one`` is lexicographic, so a permutation's position
+is its Lehmer rank, and an up-cover, which raises one Lehmer digit by 1,
+sits a factorial further on; inversion masks pass from each permutation
+to its up-covers, one bit at a time, in position order
+(``_covers_by_rank``).
 """
 
 from __future__ import annotations
@@ -48,14 +51,7 @@ from .perm import (
     enumerate_fixing_one,
 )
 from .report import CheckResult
-from .tree import (
-    PlaneTree,
-    eastpush_labeling,
-    fif_from_tree,
-    perm_from_increasing_tree,
-    tree_from_first_inversions,
-    westpop_labeling,
-)
+from .tree import PlaneTree, _push_order, fif_from_tree, tree_from_first_inversions
 
 ENUMERATION_LIMIT = 8
 _NAMED = 10**20  # a refused fiber's count is named in full up to this
@@ -231,10 +227,32 @@ def _fiber_members(fif: Sequence[int]) -> list[Perm]:
         i += 1
 
 
-def _extremes(tree: PlaneTree) -> tuple[Perm, Perm]:
-    """The top and bottom of ``tree``'s fiber: the permutations read off
-    its east-push and west-pop labelings."""
-    return perm_from_increasing_tree(eastpush_labeling(tree)), perm_from_increasing_tree(westpop_labeling(tree))
+def _extremes(fif: Sequence[int]) -> tuple[Perm, Perm]:
+    """The top and bottom of the fiber over table ``fif``: the
+    permutations read off its tree's east-push and west-pop labelings.
+
+    The children lists are indexed by postorder position, the table's
+    own indexing, with the root at n.  Both labelings rise left to right
+    among siblings, so ordering children by label keeps the plane order,
+    and the permutation a labeling gives (``perm_from_increasing_tree``)
+    is 1 followed by its labels at positions 1..n-1.  West-pop labels in
+    pop order, which is preorder, and east-push in push order."""
+    n = len(fif)
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    for j in range(1, n):
+        kids[fif[j - 1] - 1].append(j)
+    top = [0] * (n + 1)
+    for label, v in enumerate(_push_order(kids, n), start=1):
+        top[v] = label
+    bottom = [0] * (n + 1)
+    stack = [n]
+    label = 0
+    while stack:
+        v = stack.pop()
+        label += 1
+        bottom[v] = label
+        stack += reversed(kids[v])
+    return (1, *top[1:n]), (1, *bottom[1:n])
 
 
 def fiber(tree: PlaneTree, limit: int = ENUMERATION_LIMIT) -> Fiber:
@@ -250,7 +268,7 @@ def fiber(tree: PlaneTree, limit: int = ENUMERATION_LIMIT) -> Fiber:
             raise ValueError(f"fiber of {count} members exceeds the cap {cap} = ({limit} - 1)!")
     members = _fiber_members(fif)
     members.sort()
-    top, bottom = _extremes(tree)
+    top, bottom = _extremes(fif)
     if top not in members or bottom not in members:
         raise AssertionError("stack labelings must land in their own fiber")
     return Fiber(tree, tuple(members), top, bottom)
@@ -322,8 +340,7 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
         hook_total += hooks
         if hooks != len(members):
             hook_bad.append(f"fiber {fif} has {len(members)} members, hook count {hooks}")
-        tree = tree_from_first_inversions(fif)
-        top, bottom = _extremes(tree)
+        top, bottom = _extremes(fif)
         masks = {perms[i]: mask_of[i] for i in members}
         if top not in masks or bottom not in masks:
             interval_bad.append(f"extremes escape fiber {fif}")

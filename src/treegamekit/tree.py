@@ -241,6 +241,14 @@ def first_inversion_tree(p: Sequence[int]) -> LabeledTree:
     >>> format_labeled_tree(first_inversion_tree((1, 6, 2, 3, 5, 7, 4)))
     '1(2(6) 3 4(5 7))'
     """
+    children = _first_inversion_children(p)
+    return tree_of_index(children, range(1, len(children) + 1))
+
+
+def _first_inversion_children(p: Sequence[int]) -> list[list[int]]:
+    """The children lists of ``first_inversion_tree(p)`` by label - 1, each
+    in label order.  Labels rise away from the root, so every child's id
+    exceeds its parent's."""
     p = check_fixes_one(p)
     n = len(p)
     t = _first_inversions(p)
@@ -248,7 +256,7 @@ def first_inversion_tree(p: Sequence[int]) -> LabeledTree:
     for i in range(2, n + 1):
         ti = t[i - 2]
         parents[p[i - 1] - 1] = p[ti - 1] - 1 if ti <= n else 0
-    return tree_of_index(_children_table(parents[1:]), range(1, n + 1))
+    return _children_table(parents[1:])
 
 
 def _increasing_postorder(lt: LabeledTree) -> list[int] | None:
@@ -307,16 +315,21 @@ def eastpush_labeling(t: PlaneTree) -> LabeledTree:
     """
     idx = index_tree(t)
     labels = [0] * len(idx.parent)
-    labels[0] = 1
-    counter = 2
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for c in idx.children[v]:
-            labels[c] = counter
-            counter += 1
-            stack.append(c)
+    for label, v in enumerate(_push_order(idx.children, 0), start=1):
+        labels[v] = label
     return tree_of_index(idx.children, labels)
+
+
+def _push_order(children: Sequence[Sequence[int]], root: int) -> list[int]:
+    """The vertices below ``root`` of a children table in east-push order:
+    the root, then, as each vertex is popped, its children left to right."""
+    order = [root]
+    stack = [root]
+    while stack:
+        kids = children[stack.pop()]
+        order += kids
+        stack += kids
+    return order
 
 
 def westpop_labeling(t: PlaneTree) -> LabeledTree:

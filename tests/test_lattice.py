@@ -105,8 +105,9 @@ class TestMaterialization:
         for t in small_and_random_trees():
             idx = index_tree(t)
             want = product_masks(idx)
-            got = _subtree_masks(idx)
+            got = _subtree_masks(idx.children)
             assert len(got) == len(want) and sorted(got) == sorted(want)
+            assert got == sorted(got)
             assert PruningLattice(t).masks == sorted(want, key=lambda m: (m.bit_count(), m))
 
     def test_enumeration_order(self):
@@ -301,12 +302,24 @@ class TestPlacementCorrespondence:
         # pruning of it fails the first test, and a count that differs the second
         from treegamekit import lattice
 
+        real = lattice._subtree_masks
+
         # 1(2(3) 4) against its mirror image: 6 prunings each, but the
         # image {1, 4} is no pruning of the mirror
-        monkeypatch.setattr(lattice, "tree_of_index", lambda children: ((), ((),)))
+        monkeypatch.setattr(lattice, "_subtree_masks", lambda children: real(index_tree(((), ((),))).children))
         assert not placements_match_prunings((1, 3, 2, 4))
-        monkeypatch.setattr(lattice, "tree_of_index", lambda children: ((), ()))
+        monkeypatch.setattr(lattice, "_subtree_masks", lambda children: real(index_tree(((), ())).children))
         assert not placements_match_prunings((1, 3, 2))  # 3 placements, 4 prunings
+
+    def test_refuses_past_the_lattice_limit(self):
+        # the identity's tree is a star of MATERIALIZE_LIMIT + 1 vertices,
+        # refused as the lattice refuses it
+        with pytest.raises(ValueError) as lattice_refusal:
+            PruningLattice(((),) * MATERIALIZE_LIMIT)
+        with pytest.raises(ValueError) as refusal:
+            placements_match_prunings(tuple(range(1, MATERIALIZE_LIMIT + 2)))
+        assert str(refusal.value) == str(lattice_refusal.value)
+        assert str(refusal.value) == "tree has 21 vertices; lattices are materialized only up to 20"
 
     def test_weight_identity_over_shapes(self):
         # summing rank generating functions over tree shapes with

@@ -3,6 +3,7 @@ one, and resolved on first access; the modules each process loads; the
 package's freedom from recursion, from unbounded caches and from module
 state; and that it holds no code that nothing reaches."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -121,15 +122,15 @@ def test_one_loader():
 # Modules a process must not load, by what it runs: an import of the
 # package and its CLI, or a tgk command.
 NOT_LOADED = {
-    "": {"checks", "geometry", "lattice", "poly", "seq", "tamari"},
+    "": {"checks", "game", "geometry", "lattice", "poly", "seq", "tamari"},
     "seq --n 3": {"checks", "geometry", "lattice", "tamari"},
-    "tamari-verify --n 3": {"checks", "geometry", "lattice"},
+    "tamari-verify --n 3": {"checks", "game", "geometry", "lattice", "poly", "seq"},
     "phi --tree (())": {"checks", "lattice", "tamari"},
 }
 # Line 1: the package modules whose code has run (a module set to load
 # lazily is in sys.modules before it runs, and its __dict__ is read without
 # loading it).  Line 2: which of dataclasses and the modules it imports,
-# inspect, ast and dis, are loaded.
+# inspect, ast and dis, are loaded.  Line 3: whether fractions is.
 LOADED = """
 import sys, treegamekit, treegamekit.cli
 argv = sys.argv[1:]
@@ -141,6 +142,7 @@ print(" ".join(sorted(name.rpartition(".")[2] for name, module in list(sys.modul
                       if name.startswith("treegamekit.")
                       and "__builtins__" in object.__getattribute__(module, "__dict__"))))
 print(*(name for name in ("dataclasses", "inspect", "ast", "dis") if name in sys.modules))
+print("fractions" in sys.modules)
 """
 
 
@@ -149,6 +151,22 @@ def test_each_process_loads_only_what_it_runs(argv):
     loaded = set(_fresh(LOADED, *argv.split()).splitlines()[0].split())
     assert {"cli", "perm", "report", "tree"} <= loaded
     assert loaded.isdisjoint(NOT_LOADED[argv]), loaded & NOT_LOADED[argv]
+
+
+@pytest.mark.parametrize("argv", ["", "tamari-verify --n 3"], ids=lambda argv: argv or "import")
+def test_no_process_loads_fractions_unless_it_reads_a_rational(argv):
+    # cli imports Fraction only to read --eval and --q; the modules that
+    # compute with rationals load it for themselves
+    assert _fresh(LOADED, *argv.split()).splitlines()[2] == "False"
+
+
+def test_method_choices_are_the_sequence_methods():
+    # the parser names the methods itself, in seq's order, so it loads no seq
+    from treegamekit import cli, seq
+
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in commands.choices["seq"]._actions if a.dest == "method")
+    assert method.choices == tuple(seq.METHODS)
 
 
 @pytest.mark.parametrize("argv", ["", "phi --tree (())", "tamari-verify --n 3", "verify --n 3"],

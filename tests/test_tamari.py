@@ -27,13 +27,16 @@ from treegamekit.tamari import (
     verify_congruence,
 )
 from treegamekit.tree import (
+    eastpush_labeling,
     fif_from_tree,
     first_inversion_tree,
     parse_plane_tree,
+    perm_from_increasing_tree,
     plane_shape,
     plane_trees,
     random_plane_tree,
     tree_from_first_inversions,
+    westpop_labeling,
 )
 
 WORKED_SHAPE = parse_plane_tree("((()) () (()()))")
@@ -145,8 +148,8 @@ def _verify_congruence_pairwise(n):
     """The congruence check by brute force over all pairs: every fiber
     against every permutation, and both projections on every comparable
     pair; fiber sizes against the hook-length formula over every plane
-    tree.  Labelings are looked up on ``tamari`` at call time, so a fault
-    patched in there reaches this oracle as well."""
+    tree.  The extremes are looked up on ``tamari`` at call time, so a
+    fault patched in there reaches this oracle as well."""
     perms = list(enumerate_fixing_one(n))
     pair_index = {pair: k for k, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
     mask_of = {p: _inversion_mask(p, pair_index) for p in perms}
@@ -159,9 +162,7 @@ def _verify_congruence_pairwise(n):
     top_of = {}
     bottom_of = {}
     for fif, members in fibers.items():
-        tree = tree_from_first_inversions(fif)
-        top = tamari.perm_from_increasing_tree(tamari.eastpush_labeling(tree))
-        bottom = tamari.perm_from_increasing_tree(tamari.westpop_labeling(tree))
+        top, bottom = tamari._extremes(fif)
         if top not in members or bottom not in members:
             interval_bad.append(f"extremes escape fiber {fif}")
             continue
@@ -408,6 +409,16 @@ class TestFibers:
 
             assert total == math.factorial(n - 1)
 
+    def test_extremes_match_the_labelings(self):
+        # read off the table, the extremes are the stack labelings' permutations
+        for n in range(1, 10):
+            for t in plane_trees(n):
+                want = (
+                    perm_from_increasing_tree(eastpush_labeling(t)),
+                    perm_from_increasing_tree(westpop_labeling(t)),
+                )
+                assert tamari._extremes(fif_from_tree(t)) == want, t
+
     def test_extremes_avoid_patterns(self):
         for t in plane_trees(6):
             f = fiber(t)
@@ -491,9 +502,8 @@ class TestCongruence:
             assert _passed(verify_congruence(n)) == _verify_congruence_pairwise(n), n
 
     def test_matches_pairwise_oracle_on_swapped_labelings(self, monkeypatch):
-        east, west = tamari.eastpush_labeling, tamari.westpop_labeling
-        monkeypatch.setattr(tamari, "eastpush_labeling", west)
-        monkeypatch.setattr(tamari, "westpop_labeling", east)
+        real = tamari._extremes
+        monkeypatch.setattr(tamari, "_extremes", lambda fif: real(fif)[::-1])
         for n in range(1, 7):
             report = verify_congruence(n)
             oracle = _verify_congruence_pairwise(n)
