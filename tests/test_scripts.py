@@ -15,6 +15,7 @@ RUNS = {
     "polynomial_gallery.py": ["--tree", "(() ())"],
     "montecarlo_sweep.py": ["--trees", "3", "--max-size", "4", "--trials", "2000"],
     "code_lines.py": [],
+    "cli_corpus.py": [],
 }
 
 
