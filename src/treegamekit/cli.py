@@ -261,11 +261,17 @@ def _handle_tamari_op(args) -> Handled:
     return 0, payload, [text]
 
 
+def _checked(results, **head) -> Handled:
+    """Exit 1 when any check failed; the payload is ``head``, then ``ok``
+    and the checks, and there is one line per check."""
+    ok = all(r.passed for r in results)
+    payload = {**head, "ok": ok, "checks": [r._asdict() for r in results]}
+    return (0 if ok else 1), payload, [r.line() for r in results]
+
+
 def _handle_tamari_verify(args) -> Handled:
     n = _positive("--n", args.n)
-    rep = tamari.verify_congruence(n, limit=_env_cap(tamari.ENUMERATION_LIMIT))
-    payload = {"n": rep.n, "ok": rep.ok, "checks": [c._asdict() for c in rep.checks]}
-    return (0 if rep.ok else 1), payload, [c.line() for c in rep.checks]
+    return _checked(tamari.verify_congruence(n, limit=_env_cap(tamari.ENUMERATION_LIMIT)), n=n)
 
 
 def _handle_euler(args) -> Handled:
@@ -320,12 +326,9 @@ def _handle_verify(args) -> Handled:
         trials=_positive("--trials", args.trials),
         census_limit=_env_cap(CENSUS_LIMIT),
     )
-    results = checks.run_verify(cfg)
-    ok = all(r.passed for r in results)
-    lines = [r.line() for r in results]
-    lines.append(f"VERIFY: {'PASS' if ok else 'FAIL'}")
-    payload = {"ok": ok, "checks": [r._asdict() for r in results]}
-    return (0 if ok else 1), payload, lines
+    code, payload, lines = _checked(checks.run_verify(cfg))
+    lines.append(f"VERIFY: {'PASS' if payload['ok'] else 'FAIL'}")
+    return code, payload, lines
 
 
 # ---------------------------------------------------------------------------

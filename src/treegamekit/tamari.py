@@ -17,7 +17,8 @@ argument, the smallest common member of the two forward orbits, found
 by walking both increasing chains.
 ``verify_congruence`` checks the interval property, that both
 projections (fiber top and fiber bottom) preserve weak order, and that
-every fiber has its hook count of members.  Weak order is the
+every fiber has its hook count of members, and returns one
+``CheckResult`` for each of the four.  Weak order is the
 transitive closure of its covers, so the projections are checked on
 covers only.  A fiber is the interval [bottom, top] exactly when (i)
 every member's inversion mask lies between the bottom's and the top's,
@@ -278,15 +279,6 @@ def fiber(tree: PlaneTree, limit: int = ENUMERATION_LIMIT) -> Fiber:
 # congruence verification
 
 
-class CongruenceReport(NamedTuple):
-    n: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _covers_by_rank(perms: Sequence[Perm]) -> tuple[list[list[int]], list[int]]:
     """Up-covers and inversion masks of ``perms`` (in the order of
     ``enumerate_fixing_one``) by index, the Lehmer rank: swapping k at i
@@ -311,13 +303,15 @@ def _covers_by_rank(perms: Sequence[Perm]) -> tuple[list[list[int]], list[int]]:
     return up, mask_of
 
 
-def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceReport:
+def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> tuple[CheckResult, ...]:
     """Exhaustively check, for size ``n``, that the fibers of the
     first-inversion tree map are weak-order intervals with pattern-
     avoiding extremes, by parts (i) and (ii) of the module docstring,
     that both interval projections are monotone on weak-order covers, and
     that each fiber's size is its tree's hook count, the counts summing
-    to (n - 1)!."""
+    to (n - 1)!.  Returns the four results in that order:
+    ``fiber-interval``, ``upper-projection-monotone``,
+    ``lower-projection-monotone`` and ``fiber-hook-count``."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > limit:
@@ -377,12 +371,9 @@ def verify_congruence(n: int, limit: int = ENUMERATION_LIMIT) -> CongruenceRepor
             return CheckResult(name, True, f"n={n}")
         return CheckResult(name, False, "; ".join(bad[:3]))
 
-    return CongruenceReport(
-        n,
-        (
-            result("fiber-interval", interval_bad),
-            result("upper-projection-monotone", up_bad),
-            result("lower-projection-monotone", down_bad),
-            result("fiber-hook-count", hook_bad),
-        ),
+    return (
+        result("fiber-interval", interval_bad),
+        result("upper-projection-monotone", up_bad),
+        result("lower-projection-monotone", down_bad),
+        result("fiber-hook-count", hook_bad),
     )

@@ -88,8 +88,7 @@ class TestFaultInjection:
         real = tamari._first_inversions
         star, other = real((1, 2, 3, 4)), real((1, 2, 4, 3))
         monkeypatch.setattr(tamari, "_first_inversions", lambda p: other if real(p) == star else real(p))
-        report = tamari.verify_congruence(4)
-        failed = {c.name for c in report.checks if not c.passed}
+        failed = {c.name for c in tamari.verify_congruence(4) if not c.passed}
         assert failed & {"fiber-interval", "fiber-hook-count"}
         result = _result("congruence")
         assert not result.passed and result.details.startswith("n=4: ")
@@ -205,13 +204,13 @@ class TestTable:
         assert isinstance(ALL_CHECKS, tuple)
         cfg = VerifyConfig(n=2, samples=1, trials=100)
         assert [r.name for r in run_verify(cfg)] == self.NAMES
-        assert [row.name for row in checks.ROUTES] == self.NAMES[2:-1]
+        assert [row.name for row in checks.ROUTES] == self.NAMES[1:-1]
 
     def test_pass_details_name_the_capped_size(self):
-        for n in (12, 3):
+        for n in (250, 12, 3):  # 250 is above every cap
             results = {r.name: r for r in run_verify(VerifyConfig(n=n, samples=1, trials=100))}
             for row in checks.ROUTES:
                 if row.cap:
                     result = results[row.name]
                     assert result.passed, result.line()
-                    assert re.findall(r"\d+", result.details)[0] == str(min(n, row.cap)), result.line()
+                    assert str(min(n, row.cap)) in re.findall(r"\d+", result.details), result.line()

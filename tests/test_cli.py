@@ -410,7 +410,7 @@ class TestTamari:
 
     def test_verify_lines_and_json(self, capsys):
         # the report renders each check as tgk verify does
-        checks = verify_congruence(4).checks
+        checks = verify_congruence(4)
         _, out, _ = run(capsys, "tamari-verify", "--n", "4")
         lines = out.splitlines()
         assert all(line.startswith("CHECK ") and line.count("PASS") == 1 for line in lines)

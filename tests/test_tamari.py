@@ -203,8 +203,8 @@ def _verify_congruence_pairwise(n):
     }
 
 
-def _passed(report):
-    return {c.name: c.passed for c in report.checks}
+def _passed(results):
+    return {c.name: c.passed for c in results}
 
 
 class TestElements:
@@ -492,10 +492,10 @@ class TestFibers:
 class TestCongruence:
     def test_small_sizes_pass(self):
         for n in range(1, 7):
-            report = verify_congruence(n)
-            assert report.ok
-            assert report.n == n
-            assert len(report.checks) == 4
+            results = verify_congruence(n)
+            assert all(c.passed for c in results)
+            assert all(c.details == f"n={n}" for c in results)
+            assert len(results) == 4
 
     def test_matches_pairwise_oracle(self):
         for n in range(1, 7):
@@ -510,7 +510,7 @@ class TestCongruence:
             assert _passed(report) == oracle, n
             # from n = 4 on some fiber holds more than one permutation
             assert oracle["fiber-interval"] is (n < 4), n
-        detail = report.checks[0].details
+        detail = report[0].details
         assert "is not the interval" in detail and " at (1, " in detail
 
     def test_misfiled_permutation_fails_the_interval(self, monkeypatch):
@@ -525,7 +525,7 @@ class TestCongruence:
         identity = tuple(range(1, n + 1))
         star = real(identity)
         monkeypatch.setattr(tamari, "_first_inversions", lambda p: star if p == stray else real(p))
-        interval = verify_congruence(n).checks[0]
+        interval = verify_congruence(n)[0]
         assert interval.name == "fiber-interval" and not interval.passed
         assert f"fiber {star} is not the interval [{identity}, {identity}] at {stray}" in interval.details
         assert f"fiber {real(stray)} is not the interval [{home.bottom}, {home.top}] at {stray}" in interval.details
