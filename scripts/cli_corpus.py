@@ -44,6 +44,43 @@ ERRORS = [
 ]
 
 
+def path(n: int) -> str:
+    return "(" * n + ")" * n
+
+
+def star(n: int) -> str:
+    return "(" + " ".join(["()"] * (n - 1)) + ")"
+
+
+# Larger trees, written out here rather than drawn by the package: 9, 15
+# and 40 vertices.
+NINE = "((()) () (() (())) ())"
+FIFTEEN = "((() ()) (((()))) (() () (())) (()))"
+FORTY = f"({FIFTEEN} {NINE} {path(6)} {star(5)} () (() ()))"
+
+LARGER = [
+    ["prunings", "--tree", star(21)],  # over the materialize limit
+    ["prunings", "--tree", path(21)],
+    ["prunings", "--rgf", "--tree", path(20)],
+    ["prunings", "--rgf", "--tree", star(12)],
+    ["prunings", "--rgf", "--list", "--tree", NINE],
+    *(
+        argv
+        for t in (FIFTEEN, FORTY)
+        for argv in (
+            ["label", "--mode", "eastpush", "--tree", t],
+            ["label", "--mode", "westpop", "--tree", t],
+            ["montecarlo", "--tree", t, "--q=-1/2", "--trials", "500"],
+        )
+    ),
+    ["phi", "--via", "prunings", "--tree", star(21)],  # over the profile limit
+    ["tamari-fiber", "--tree", f"({path(20)} {path(20)})"],
+    ["tamari-fiber", "--tree", f"({path(60)} {path(60)})"],
+    ["stirling", "--n", "-1"],
+    ["euler", "--tree", "(() ())", "--q", "1000003", "--q", "1000004", "--q", "618970019642690137449562111"],
+]
+
+
 def cases():
     """Every command line of the corpus."""
     yield from (["verify", "--n", str(n)] for n in range(9))
@@ -74,6 +111,7 @@ def cases():
             yield ["gamma-inv", "--tree", format_labeled_tree(first_inversion_tree(p))]
             yield ["avoid", "--pattern", "213", "--perm", text]
             yield ["avoid", "--pattern", "312", "--perm", text]
+    yield from LARGER
     yield ["--version"]
     yield from ERRORS
 
