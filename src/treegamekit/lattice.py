@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 from . import poly
 from .perm import separator_placements
 from .poly import MATERIALIZE_LIMIT
-from .tree import PlaneTree, _first_inversion_children, index_tree, tree_of_index, vertex_count
+from .tree import PlaneTree, _first_inversion_children, index_tree, tree_of_index
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -67,18 +67,13 @@ class PruningLattice:
     refuses more than ``MATERIALIZE_LIMIT`` vertices."""
 
     def __init__(self, base: PlaneTree):
-        size = vertex_count(base)
-        _check_size(size)
-        self.index = index_tree(base)
-        self.size = size
-        self.masks = _subtree_masks(self.index.children)
+        self.children = index_tree(base)
+        self.size = len(self.children)
+        _check_size(self.size)
+        self.masks = _subtree_masks(self.children)
         self.masks.sort(key=int.bit_count)  # stable, so by rank, then by value
         self._members = frozenset(self.masks)
-        childmask = [0] * size
-        for v, par in enumerate(self.index.parent):
-            if par >= 0:
-                childmask[par] |= 1 << v
-        self._childmask = tuple(childmask)
+        self._childmask = tuple([sum(1 << c for c in kids) for kids in self.children])
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -101,7 +96,7 @@ class PruningLattice:
     def covers_above(self, mask: int) -> list[int]:
         if mask not in self._members:
             raise ValueError("mask is not a pruning of the base tree")
-        return sorted(mask | (1 << v) for v in _bits(self.frontier(mask)))
+        return [mask | (1 << v) for v in _bits(self.frontier(mask))]  # ascending: _bits ascends, and no v is in mask
 
     def rank_polynomial(self) -> poly.Poly:
         out = [0] * self.size
@@ -113,7 +108,7 @@ class PruningLattice:
         """The pruning itself as a plane tree (base child order kept)."""
         if mask not in self._members:
             raise ValueError("mask is not a pruning of the base tree")
-        return tree_of_index([[c for c in kids if mask >> c & 1] for kids in self.index.children])
+        return tree_of_index([[c for c in kids if mask >> c & 1] for kids in self.children])
 
 
 def rank_generating_function(t: PlaneTree) -> poly.Poly:

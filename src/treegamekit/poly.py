@@ -302,8 +302,12 @@ def event_frequency(t: PlaneTree, q, trials: int = 100_000, seed: int = 0) -> fl
     draw = random.Random(seed).getrandbits
     num, den = heads.as_integer_ratio()
     bits = den.bit_length() - 1
-    idx = index_tree(t)
-    n, parent = len(idx.parent), idx.parent
+    children = index_tree(t)
+    n = len(children)
+    parent = [0] * n
+    for u, kids in enumerate(children):
+        for c in kids:
+            parent[c] = u
     size = [1] * n
     for v in range(n - 1, 0, -1):
         size[parent[v]] += size[v]

@@ -20,7 +20,8 @@ that avoid 213 and 312 respectively.
 Nothing here recurses, so trees may be as deep as memory allows: nested
 tuples are folded bottom up by ``_fold``, an explicit-stack traversal
 (Knuth, TAOCP Vol. 1, Section 2.3.1, Algorithm T), or numbered in
-preorder by ``_index``; children tables are built by one loop over ids.
+preorder by ``index_tree``, whose children table over those ids is the
+whole index; children tables are built by one loop over ids.
 The postorder readings (``fif_from_tree``, ``perm_from_increasing_tree``)
 instead walk preorder with children taken right to left, which meets the
 vertices in reverse postorder, and make no call per vertex.
@@ -33,7 +34,7 @@ import math
 import random
 import re
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .perm import _first_inversions, check_first_inversions, check_fixes_one
 
@@ -176,43 +177,28 @@ def vertex_count(t: PlaneTree) -> int:
     return len(subtrees)
 
 
-class TreeIndex(NamedTuple):
-    """A plane tree flattened over preorder vertex ids (root is 0)."""
+def index_tree(t: PlaneTree) -> list[list[int]]:
+    """The children table of ``t`` over preorder ids: root 0, and
+    ``children[u]`` lists u's children left to right.
 
-    parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-
-
-def _index(root, children: Callable) -> tuple[TreeIndex, list]:
-    """Preorder ids for a tree whose ``children(node)`` is a sequence:
-    the index and the nodes by id."""
-    nodes: list = []
+    >>> index_tree(((), ((),)))
+    [[1, 2], [], [3], []]
+    """
     parent: list[int] = []
-    stack = [(root, -1)]
+    stack = [(t, -1)]
     while stack:
         node, par = stack.pop()
-        v = len(nodes)
-        nodes.append(node)
+        v = len(parent)
         parent.append(par)
-        kids = children(node)
-        if kids:
-            stack.extend(zip(reversed(kids), [v] * len(kids)))
-    return TreeIndex(tuple(parent), tuple(map(tuple, _children_table(parent[1:])))), nodes
-
-
-def index_tree(t: PlaneTree) -> TreeIndex:
-    return _index(t, tuple)[0]
-
-
-def index_labeled_tree(lt: LabeledTree) -> tuple[TreeIndex, tuple[int, ...]]:
-    idx, nodes = _index(lt, itemgetter(1))
-    return idx, tuple(node[0] for node in nodes)
+        if node:
+            stack.extend(zip(reversed(node), [v] * len(node)))
+    return _children_table(parent[1:])
 
 
 def tree_of_index(children: Sequence[Sequence[int]], labels: Sequence[int] | None = None):
     """The tree below vertex 0 of a children table, where ``children[u]``
     lists u's children in order and every child id exceeds its parent's
-    (``TreeIndex.children`` is one), built in one pass over descending
+    (``index_tree`` returns one), built in one pass over descending
     ids: a plane tree, or a labelled one when ``labels`` is given."""
     built: list = [None] * len(children)
     for v in range(len(children) - 1, -1, -1):
@@ -298,8 +284,11 @@ def perm_from_increasing_tree(lt: LabeledTree) -> tuple[int, ...]:
 
 def plane_shape(lt: LabeledTree) -> PlaneTree:
     """Forget labels after ordering each child list by label."""
-    idx, labels = index_labeled_tree(lt)
-    return tree_of_index([sorted(kids, key=labels.__getitem__) for kids in idx.children])
+
+    def combine(node: LabeledTree, kids: list[tuple[int, PlaneTree]]) -> tuple[int, PlaneTree]:
+        return node[0], tuple([shape for _, shape in sorted(kids, key=_label)])
+
+    return _fold(lt, lambda node: iter(node[1]), combine)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +302,11 @@ def eastpush_labeling(t: PlaneTree) -> LabeledTree:
     >>> format_labeled_tree(eastpush_labeling(parse_plane_tree("((()) () (()()))")))
     '1(2(7) 3 4(5 6))'
     """
-    idx = index_tree(t)
-    labels = [0] * len(idx.parent)
-    for label, v in enumerate(_push_order(idx.children, 0), start=1):
+    children = index_tree(t)
+    labels = [0] * len(children)
+    for label, v in enumerate(_push_order(children, 0), start=1):
         labels[v] = label
-    return tree_of_index(idx.children, labels)
+    return tree_of_index(children, labels)
 
 
 def _push_order(children: Sequence[Sequence[int]], root: int) -> list[int]:
@@ -334,14 +323,14 @@ def _push_order(children: Sequence[Sequence[int]], root: int) -> list[int]:
 
 def westpop_labeling(t: PlaneTree) -> LabeledTree:
     """Label on pop: pop a vertex, give it the next label, then push its
-    children right to left.  That is the preorder numbering ``_index``
-    hands out.
+    children right to left.  That is the preorder numbering of
+    ``index_tree``.
 
     >>> format_labeled_tree(westpop_labeling(parse_plane_tree("((()) () (()()))")))
     '1(2(3) 4 5(6 7))'
     """
-    idx = index_tree(t)
-    return tree_of_index(idx.children, range(1, len(idx.parent) + 1))
+    children = index_tree(t)
+    return tree_of_index(children, range(1, len(children) + 1))
 
 
 # ---------------------------------------------------------------------------

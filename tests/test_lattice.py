@@ -5,6 +5,7 @@ import itertools
 import operator
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -22,7 +23,6 @@ from treegamekit.tree import (
     canonicalize,
     first_inversion_tree,
     increasing_labelings,
-    index_labeled_tree,
     index_tree,
     parse_plane_tree,
     plane_trees,
@@ -31,6 +31,37 @@ from treegamekit.tree import (
     tree_of_index,
     vertex_count,
 )
+
+
+class Preorder(NamedTuple):
+    """A tree by preorder id (root 0, children left to right): each
+    vertex's parent (-1 at the root), children and label (None in a plane
+    tree)."""
+
+    parent: list
+    children: list
+    labels: list
+
+
+def preorder(t, labelled=False):
+    """The ``Preorder`` of a plane tree, or of a labelled tree when
+    ``labelled``, by a recursive walk of its own, apart from
+    ``tree.index_tree``."""
+    out = Preorder([], [], [])
+
+    def visit(node, par):
+        v = len(out.parent)
+        label, kids = node if labelled else (None, node)
+        out.parent.append(par)
+        out.children.append([])
+        out.labels.append(label)
+        if par >= 0:
+            out.children[par].append(v)
+        for kid in kids:
+            visit(kid, v)
+
+    visit(t, -1)
+    return out
 
 
 def increasing_tree_shapes(n):
@@ -44,7 +75,7 @@ def increasing_tree_shapes(n):
 
 def brute_prunings(t):
     """Vertex subsets containing the root and closed under parents."""
-    idx = index_tree(t)
+    idx = preorder(t)
     n = len(idx.parent)
     out = set()
     for bits in range(1 << n):
@@ -103,9 +134,10 @@ class TestMaterialization:
         # the child-at-a-time listing holds the same masks, and the lattice
         # orders them as the (bit count, value) key does
         for t in small_and_random_trees():
-            idx = index_tree(t)
+            idx, children = preorder(t), index_tree(t)
+            assert children == idx.children
             want = product_masks(idx)
-            got = _subtree_masks(idx.children)
+            got = _subtree_masks(children)
             assert len(got) == len(want) and sorted(got) == sorted(want)
             assert got == sorted(got)
             assert PruningLattice(t).masks == sorted(want, key=lambda m: (m.bit_count(), m))
@@ -207,7 +239,7 @@ class TestJoinMeet:
             for t in plane_trees(n):
                 lat = PruningLattice(t)
                 below = Counter(c for m in lat for c in lat.covers_above(m))
-                parent = index_tree(t).parent
+                parent = preorder(t).parent
                 paths = set()
                 for v in range(1, n):
                     path, u = 0, v
@@ -285,7 +317,7 @@ class TestPlacementCorrespondence:
         # and containment of sets is containment of images
         for n in range(1, 7):
             for p in enumerate_fixing_one(n):
-                idx, labels = index_labeled_tree(first_inversion_tree(p))
+                labels = preorder(first_inversion_tree(p), labelled=True).labels
                 id_of = {lbl: v for v, lbl in enumerate(labels)}
                 mapped = []
                 for cuts in separator_placements(p):
@@ -306,9 +338,9 @@ class TestPlacementCorrespondence:
 
         # 1(2(3) 4) against its mirror image: 6 prunings each, but the
         # image {1, 4} is no pruning of the mirror
-        monkeypatch.setattr(lattice, "_subtree_masks", lambda children: real(index_tree(((), ((),))).children))
+        monkeypatch.setattr(lattice, "_subtree_masks", lambda children: real(index_tree(((), ((),)))))
         assert not placements_match_prunings((1, 3, 2, 4))
-        monkeypatch.setattr(lattice, "_subtree_masks", lambda children: real(index_tree(((), ())).children))
+        monkeypatch.setattr(lattice, "_subtree_masks", lambda children: real(index_tree(((), ()))))
         assert not placements_match_prunings((1, 3, 2))  # 3 placements, 4 prunings
 
     def test_refuses_past_the_lattice_limit(self):

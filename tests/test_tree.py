@@ -24,7 +24,6 @@ from treegamekit.tree import (
     first_inversion_tree,
     format_labeled_tree,
     format_plane_tree,
-    index_labeled_tree,
     index_tree,
     is_increasing,
     parse_labeled_tree,
@@ -41,7 +40,7 @@ from treegamekit.tree import (
 )
 
 from test_cli import DEEP
-from test_lattice import increasing_tree_shapes, small_and_random_trees
+from test_lattice import increasing_tree_shapes, preorder, small_and_random_trees
 
 WORKED_PERM = (1, 6, 2, 3, 5, 7, 4)
 WORKED_SHAPE = (((),), (), ((), ()))
@@ -205,24 +204,26 @@ class TestTraversals:
 
     def test_index_round_trip(self):
         for t in plane_trees(6):
-            assert tree_of_index(index_tree(t).children) == t
+            assert tree_of_index(index_tree(t)) == t
 
     def test_index_ids_are_preorder(self):
-        idx = index_tree(WORKED_SHAPE)
+        idx = preorder(WORKED_SHAPE)
         assert idx.parent[0] == -1
-        assert idx.children[0] == (1, 3, 4)
+        assert index_tree(WORKED_SHAPE) == idx.children
+        assert idx.children[0] == [1, 3, 4]
         assert postorder_ids(idx) == [2, 1, 3, 5, 6, 4, 0]
 
     def test_labeled_index_keeps_labels(self):
         lt = parse_labeled_tree("1(2(6) 3 4(5 7))")
-        idx, labels = index_labeled_tree(lt)
-        assert labels == (1, 2, 6, 3, 4, 5, 7)
+        idx = preorder(lt, labelled=True)
+        assert idx.labels == [1, 2, 6, 3, 4, 5, 7]
         assert len(idx.parent) == 7
+        assert tree_of_index(index_tree(plane_shape(lt)), idx.labels) == lt
 
 
 class TestAncestry:
     def test_examples(self):
-        idx = index_tree(WORKED_SHAPE)
+        idx = preorder(WORKED_SHAPE)
         # ids in preorder: 0 root, 1 2 first branch, 3 middle leaf,
         # 4 5 6 last branch
         assert is_strict_ancestor(idx, 0, 6)
@@ -235,7 +236,7 @@ class TestAncestry:
 
     def test_trichotomy(self):
         for t in plane_trees(7):
-            idx = index_tree(t)
+            idx = preorder(t)
             for u, v in itertools.combinations(range(len(idx.parent)), 2):
                 flags = (
                     is_strict_ancestor(idx, u, v),
@@ -247,7 +248,7 @@ class TestAncestry:
 
     def test_postorder_position_law(self):
         for t in plane_trees(7):
-            idx = index_tree(t)
+            idx = preorder(t)
             pos = {v: k for k, v in enumerate(postorder_ids(idx))}
             for u in range(len(idx.parent)):
                 for v in range(len(idx.parent)):
@@ -354,14 +355,15 @@ class TestStackLabelings:
 
     def test_westpop_is_preorder_numbering(self):
         for t in plane_trees(7):
-            _, labels = index_labeled_tree(westpop_labeling(t))
-            assert labels == tuple(range(1, vertex_count(t) + 1))
+            labels = preorder(westpop_labeling(t), labelled=True).labels
+            assert labels == list(range(1, vertex_count(t) + 1))
 
     def test_eastpush_label_order_law(self):
         # u is labeled before v exactly when u lies right of v's parent,
         # hangs off a non-parent ancestor of v, or is an earlier sibling
         for t in plane_trees(7):
-            idx, labels = index_labeled_tree(eastpush_labeling(t))
+            idx = preorder(eastpush_labeling(t), labelled=True)
+            labels = idx.labels
             for u in range(len(idx.parent)):
                 for v in range(len(idx.parent)):
                     if u == v:
@@ -388,7 +390,8 @@ class TestStackLabelings:
         # u is labeled before v exactly when u is an ancestor of v or
         # lies to its left
         for t in plane_trees(7):
-            idx, labels = index_labeled_tree(westpop_labeling(t))
+            idx = preorder(westpop_labeling(t), labelled=True)
+            labels = idx.labels
             for u in range(len(idx.parent)):
                 for v in range(len(idx.parent)):
                     if u == v:
@@ -560,13 +563,13 @@ def fold_fif(t):
 
 def relabel(t, labels):
     """``t`` labelled by ``labels`` in preorder, child order kept."""
-    return tree_of_index(index_tree(t).children, labels)
+    return tree_of_index(index_tree(t), labels)
 
 
 def reversed_children(lt):
     """``lt`` with every child list reversed."""
-    idx, labels = index_labeled_tree(lt)
-    return tree_of_index([kids[::-1] for kids in idx.children], labels)
+    idx = preorder(lt, labelled=True)
+    return tree_of_index([kids[::-1] for kids in idx.children], idx.labels)
 
 
 def deep_trees():
