@@ -265,6 +265,7 @@ class TestBijection:
         lt = first_inversion_tree(WORKED_PERM)
         assert format_labeled_tree(lt) == "1(2(6) 3 4(5 7))"
         assert plane_shape(lt) == WORKED_SHAPE
+        assert plane_shape(parse_labeled_tree("1(4(7 5) 3 2(6))")) == WORKED_SHAPE  # children by label
 
     def test_worked_example_inverse(self):
         lt = parse_labeled_tree("1(2(6) 3 4(5 7))")
