@@ -36,6 +36,7 @@ ERRORS = [
     ["gamma-inv", "--tree", "1(3(2))"],
     ["phi", "--tree", "(()"],
     ["phi", "--tree", "()", "--eval", "1/0"],
+    ["phi", "--tree", "(())", "--eval=1e4300"],
     ["montecarlo", "--tree", "()", "--q", "1/2"],
     ["seq", "--n", "21", "--method", "census"],
     ["stirling", "--n", "3", "--k", "5"],

@@ -27,6 +27,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -68,12 +69,34 @@ def _positive(name: str, value: int) -> int:
 
 
 def _fraction(text: str) -> Fraction:
+    """Read a rational as ``Fraction`` does, first refusing one whose
+    numerator or denominator would have more digits than ``int(text)``
+    accepts at the moment (a limit of 0 is none): ``Fraction`` scales by
+    10**exponent with no digit limit."""
     from fractions import Fraction
 
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and _scaled_digits(text) > limit:
+        raise ValueError(f"rational number {text!r} would have over {limit} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational number {text!r}") from None
+
+
+def _scaled_digits(text: str) -> int:
+    """The digits of the longer of the numerator and denominator that
+    ``Fraction`` builds from a decimal with an exponent, before reducing;
+    0 for any other text, whose parts ``Fraction`` reads through ``int``."""
+    form = re.fullmatch(r"\s*[-+]?(?=\.?\d)([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*", text)
+    if form is None:
+        return 0
+    whole, point, exponent = (part.replace("_", "") for part in form.groups(""))
+    try:
+        shift = int(exponent)
+    except ValueError:  # Fraction refuses it as well
+        return 0
+    return max(len((whole + point).lstrip("0")) + max(shift, 0), len(point) + max(-shift, 0) + 1)
 
 
 @contextlib.contextmanager

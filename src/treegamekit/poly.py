@@ -294,9 +294,9 @@ def event_frequency(t: PlaneTree, q, trials: int = 100_000, seed: int = 0) -> fl
     of masks hold about 2 * ``EVENT_BLOCK_BITS`` = 2^25 bits (4 MiB),
     however many the trials.
     """
-    heads = float(-q)
-    if not 0.0 <= heads <= 1.0:
+    if not -1 <= q <= 0:  # before float(), which overflows on a huge Fraction
         raise ValueError(f"q must lie in [-1, 0], got {q}")
+    heads = float(-q)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     draw = random.Random(seed).getrandbits

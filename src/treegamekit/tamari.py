@@ -9,9 +9,11 @@ It is a sylvester class (Hivert, Novelli and Thibon, *The algebra of
 binary search trees*, 2005): the increasing labelings of the tree whose
 sibling labels rise left to right, that is, the linear extensions of
 its left-child right-sibling binary tree, read in postorder.  ``fiber``
-generates exactly those, and its cap is on the member count, which the
-hook-length formula for forests gives up front (``fiber_size``;
-Bjorner and Wachs, *q-hook length formulas for forests*, 1989).
+generates exactly those by Varol and Rotem's adjacent swaps (Knuth,
+TAOCP Vol. 4A, Section 7.2.1.2, Algorithm V), and its cap is on the
+member count, which the hook-length formula for forests gives up front
+(``fiber_size``; Bjorner and Wachs, *q-hook length formulas for
+forests*, 1989).
 Join is the pointwise minimum of tables; meet takes, argument by
 argument, the smallest common member of the two forward orbits, found
 by walking both increasing chains.
@@ -52,7 +54,7 @@ from .perm import (
     enumerate_fixing_one,
 )
 from .report import CheckResult
-from .tree import PlaneTree, _push_order, fif_from_tree, tree_from_first_inversions
+from .tree import PlaneTree, _fif_children, _push_order, fif_from_tree, tree_from_first_inversions
 
 ENUMERATION_LIMIT = 8
 _NAMED = 10**20  # a refused fiber's count is named in full up to this
@@ -167,65 +169,61 @@ def fiber_size(tree: PlaneTree) -> int:
 
 def _fiber_members(fif: Sequence[int]) -> list[Perm]:
     """The fiber of the tree whose postorder parent map is ``fif``, in
-    generation order.
+    generation order: the linear extensions of its left-child
+    right-sibling binary tree, listed by Varol and Rotem's adjacent swaps
+    (Knuth, TAOCP Vol. 4A, Section 7.2.1.2, Algorithm V, mirrored so that
+    elements move right).
 
-    Vertex j >= 1 is the one at postorder position j and the root is 0,
-    so the labels in id order are the member itself.  A vertex may be
-    labelled once its binary-tree parent is: its plane parent when it is
-    a first child, its left sibling otherwise.  Labels 2, 3, .. go out
-    depth by depth, each to one of the ``ready`` vertices; a choice is
-    made and undone in place, so the walk holds O(n) besides the output
-    and spends O(n) per member (every partial labelling extends)."""
+    The elements 1..n-1 are the non-root vertices in preorder, itself a
+    linear extension and the fiber's bottom; the element at place j gets
+    label j + 1.  ``label`` is indexed by postorder position, with the
+    root's 1 at 0, so it reads as the member, and it also gives each
+    element its place.  Element k moves right past its neighbour unless
+    k is that neighbour's binary-tree parent (its plane parent for a
+    first child, its left sibling otherwise): in a linear extension of a
+    tree order, an ancestor standing directly left of a vertex is its
+    parent.  When k can go no further it moves back home, to place k, and
+    k + 1 is tried; after every move the walk starts again from element
+    1.  The walk holds O(n) besides the output and spends O(n) per
+    member, most of it copying ``label``."""
     n = len(fif)
-    first = [0] * n  # first child, 0 for none (the root is nobody's child)
-    after = [0] * n  # next sibling
-    last = [0] * n
-    for j in range(1, n):
-        parent = fif[j - 1] - 1
-        if parent == n:
-            parent = 0
-        if last[parent]:
-            after[last[parent]] = j
-        else:
-            first[parent] = j
-        last[parent] = j
+    kids = _fif_children(fif)
     label = [1] * n
-    ready = [first[0]] if n > 1 else []
-    chosen = [0] * n  # by depth: the vertex labelled depth + 1
-    slot = [0] * n  # by depth: its index in ready
-    members = []
-    depth = i = 0
-    while True:
-        if i < len(ready):
-            v = ready[i]
-            moved = ready.pop()
-            if i < len(ready):
-                ready[i] = moved
-            if first[v]:
-                ready.append(first[v])
-            if after[v]:
-                ready.append(after[v])
-            depth += 1
-            label[v] = depth + 1
-            chosen[depth], slot[depth] = v, i
-            i = 0
-            continue
-        if depth == n - 1:
+    pos = [0] * n  # by element, its postorder position
+    up = [0] * n  # by element, its binary-tree parent; 0 for the root's first child
+    k = 0
+    # (siblings, the index of the next one, its binary-tree parent)
+    stack = [(kids[n], 0, 0)] if n > 1 else []
+    while stack:
+        siblings, i, parent = stack.pop()
+        k += 1
+        v = siblings[i]
+        pos[k], up[k], label[v] = v, parent, k + 1
+        if i + 1 < len(siblings):
+            stack.append((siblings, i + 1, k))
+        if kids[v]:
+            stack.append((kids[v], 0, k))
+    place = list(range(n))  # by place, its element
+    members = [tuple(label)]
+    last = n - 1
+    k = 1
+    while k < last:
+        j = label[pos[k]] - 1
+        if j < last and up[place[j + 1]] != k:
+            l = place[j + 1]
+            place[j], place[j + 1] = l, k
+            label[pos[k]], label[pos[l]] = j + 2, j + 1
             members.append(tuple(label))
-        if depth == 0:
-            return members
-        v, i = chosen[depth], slot[depth]
-        if after[v]:
-            ready.pop()
-        if first[v]:
-            ready.pop()
-        if i < len(ready):
-            ready.append(ready[i])
-            ready[i] = v
-        else:
-            ready.append(v)
-        depth -= 1
-        i += 1
+            k = 1
+            continue
+        if j > k:  # move k back home
+            for i in range(j, k, -1):
+                l = place[i] = place[i - 1]
+                label[pos[l]] = i + 1
+            place[k] = k
+            label[pos[k]] = k + 1
+        k += 1
+    return members
 
 
 def _extremes(fif: Sequence[int]) -> tuple[Perm, Perm]:
@@ -239,9 +237,7 @@ def _extremes(fif: Sequence[int]) -> tuple[Perm, Perm]:
     is 1 followed by its labels at positions 1..n-1.  West-pop labels in
     pop order, which is preorder, and east-push in push order."""
     n = len(fif)
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
-    for j in range(1, n):
-        kids[fif[j - 1] - 1].append(j)
+    kids = _fif_children(fif)
     top = [0] * (n + 1)
     for label, v in enumerate(_push_order(kids, n), start=1):
         top[v] = label

@@ -358,20 +358,30 @@ def fif_from_tree(t: PlaneTree) -> tuple[int, ...]:
     return tuple([n1 - j for j in met])
 
 
+def _fif_children(fif: Sequence[int]) -> list[list[int]]:
+    """The children lists of the tree whose postorder parent map is
+    ``fif``, indexed by postorder position: the root is at n, entry 0 is
+    unused, and each list rises left to right."""
+    n = len(fif)
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    for j in range(1, n):
+        kids[fif[j - 1] - 1].append(j)
+    return kids
+
+
 def tree_from_first_inversions(t: Sequence[int]) -> PlaneTree:
     """Rebuild the plane tree whose postorder parent map is ``t``.  Each
-    parent's position exceeds its children's, so ids n - p suit ``tree_of_index``.
+    child's position is below its parent's, so the subtrees are built
+    bottom up over positions 1..n.
 
     >>> format_plane_tree(tree_from_first_inversions((3, 8, 8, 7, 7, 8, 8)))
     '((()) () (() ()))'
     """
-    t = check_first_inversions(t)
-    n = len(t)
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for p in range(1, n):
-        ti = t[p - 1]
-        kids[n + 1 - ti if ti <= n else 0].append(n - p)
-    return tree_of_index(kids)
+    kids = _fif_children(check_first_inversions(t))
+    built: list[PlaneTree] = [()] * len(kids)
+    for v in range(1, len(kids)):
+        built[v] = tuple([built[c] for c in kids[v]])
+    return built[-1]
 
 
 # ---------------------------------------------------------------------------

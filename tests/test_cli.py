@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,36 @@ class TestPhi:
         assert out.splitlines() == ["1 + q + q^2", f"value at q={q}: {want}"]
         assert json.loads(blob)["eval"] == {"q": str(q), "value": want}
 
+    @needs_digit_limit
+    def test_exponent_at_the_digit_limit(self, capsys):
+        # Fraction scales by 10**exponent with no limit of its own: 1e4299
+        # has the 4,300 digits int() reads by default, and 1e-4299 a
+        # denominator of that many
+        limit = sys.get_int_max_str_digits()
+        for q, want in ((f"1e{limit - 1}", 10 ** (limit - 1)), (f"1e-{limit - 1}", Fraction(1, 10 ** (limit - 1)))):
+            code, blob, err = run(capsys, "--json", "phi", "--tree", "(())", f"--eval={q}")
+            assert (code, err) == (0, "")
+            with no_digit_limit():
+                assert json.loads(blob)["eval"] == {"q": str(want), "value": str(1 + want)}
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("flag", ["phi --eval", "montecarlo --q"])
+    @pytest.mark.parametrize("exponent", ["e{}", "e-{}", "0.5e{}", "E+1000000"])
+    def test_exponent_past_the_digit_limit_is_refused(self, capsys, flag, exponent):
+        limit = sys.get_int_max_str_digits()
+        q = "1" + exponent.format(limit)
+        message = f"rational number {q!r} would have over {limit} digits"
+        command, flag = flag.split()
+        code, out, err = run(capsys, command, "--tree", "(())", f"{flag}={q}")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, "--json", command, "--tree", "(())", f"{flag}={q}")
+        assert (code, json.loads(out), err) == (2, {"error": message, "kind": "input"}, f"error: {message}\n")
+
+    @needs_digit_limit
+    def test_exponent_is_unlimited_without_a_digit_limit(self):
+        with no_digit_limit():
+            assert cli._fraction("3e4400") == 3 * 10**4400
+
 
 class TestPrunings:
     def test_count_and_rgf(self, capsys):
@@ -610,6 +641,13 @@ class TestMonteCarlo:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("q", ["1e400", "-1e400"])
+    def test_rejects_q_past_the_float_range(self, capsys, q):
+        # within the digit limit, but float() of it overflows
+        code, out, err = run(capsys, "montecarlo", "--tree", "(())", f"--q={q}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: q must lie in [-1, 0], got ")
 
 
 class TestVerifyCommand:

@@ -450,6 +450,8 @@ class TestEventFrequency:
             event_frequency((), Fraction(1, 2))
         with pytest.raises(ValueError):
             event_frequency((), -2)
+        with pytest.raises(ValueError):
+            event_frequency((), Fraction(10**400))  # past the float range
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from treegamekit.tamari import (
     verify_congruence,
 )
 from treegamekit.tree import (
+    _children_table,
     eastpush_labeling,
     fif_from_tree,
     first_inversion_tree,
@@ -36,6 +37,7 @@ from treegamekit.tree import (
     plane_trees,
     random_plane_tree,
     tree_from_first_inversions,
+    tree_of_index,
     westpop_labeling,
 )
 
@@ -294,6 +296,21 @@ class TestJoinMeet:
             assert tamari_join(a, tamari_meet(a, b)) == a
             assert tamari_meet(a, tamari_join(a, b)) == a
 
+    def test_lattice_laws_on_large_random_pairs(self):
+        # the laws above at 50-400 vertices; meet agrees with leq on a
+        # random pair, mostly incomparable, and on pairs comparable by construction
+        rng = random.Random(2025)
+        for _ in range(200):
+            n = rng.randint(50, 400)
+            a, b = (TamariElement.from_tree(random_plane_tree(n, rng)) for _ in range(2))
+            join, meet = tamari_join(a, b), tamari_meet(a, b)
+            assert tamari_join(a, meet) == a and tamari_meet(a, join) == a
+            assert tamari_join(a, a) == a and tamari_meet(a, a) == a
+            assert join == tamari_join(b, a) and meet == tamari_meet(b, a)
+            assert tamari_leq(a, join) and tamari_leq(meet, a)
+            for x, y in ((a, b), (b, a), (meet, a), (a, join), (join, a)):
+                assert (tamari_meet(x, y) == x) == tamari_leq(x, y)
+
     def test_against_order_oracle(self):
         for n in range(1, 6):
             classes, leq = quotient_oracle(n)
@@ -478,9 +495,18 @@ class TestFibers:
                 assert fiber_size(t) * hook_product(t) == math.factorial(n - 1), t
 
     def test_random_larger_fibers(self):
+        # random attachment at 9-14 vertices, then long spines (each vertex
+        # hangs off the one before with probability 0.85) of 20-60 vertices
+        # and 50-5,040 members, where an element may travel far before
+        # moving back home
         rng = random.Random(2024)
-        for _ in range(16):
-            t = random_plane_tree(rng.randint(9, 14), rng)
+        trees = [random_plane_tree(rng.randint(9, 14), rng) for _ in range(16)]
+        while len(trees) < 28:
+            parents = [v - 1 if rng.random() < 0.85 else rng.randrange(v) for v in range(1, rng.randint(20, 60))]
+            t = tree_of_index(_children_table(parents))
+            if 50 <= fiber_size(t) <= 5040:
+                trees.append(t)
+        for t in trees:
             f = fiber(t, limit=14)
             fif = fif_from_tree(t)
             assert list(f.members) == sorted(set(f.members))
