@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -27,6 +28,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*args):
+    """``python *args`` in a fresh interpreter that imports the package
+    from the same place as this one."""
+    env = dict(os.environ)
+    src = str(Path(treegamekit.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 needs_digit_limit = pytest.mark.skipif(
@@ -742,15 +752,11 @@ class TestHarness:
         ]
         for argv in sequence:
             got = run(capsys, *argv)
-            proc = subprocess.run([sys.executable, "-m", "treegamekit", *argv], capture_output=True, text=True)
+            proc = run_fresh("-m", "treegamekit", *argv)
             assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "treegamekit", "gamma", "--perm", "1,3,2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_fresh("-m", "treegamekit", "gamma", "--perm", "1,3,2")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1(2(3))"
 
@@ -769,11 +775,7 @@ class TestHarness:
             "sys.exit(importlib.metadata.EntryPoint("
             f"'tgk', {target!r}, 'console_scripts').load()())"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", wrapper, "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_fresh("-c", wrapper, "--version")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"tgk {treegamekit.__version__}"
 
