@@ -62,6 +62,8 @@ FORTY = f"({FIFTEEN} {NINE} {path(6)} {star(5)} () (() ()))"
 LARGER = [
     ["prunings", "--tree", star(21)],  # over the materialize limit
     ["prunings", "--tree", path(21)],
+    ["prunings", "--tree", star(20)],  # count only, at the limit
+    ["prunings", "--tree", path(20)],
     ["prunings", "--rgf", "--tree", path(20)],
     ["prunings", "--rgf", "--tree", star(12)],
     ["prunings", "--rgf", "--list", "--tree", NINE],
