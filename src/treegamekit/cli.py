@@ -234,7 +234,7 @@ def _handle_prunings(args) -> Handled:
         payload["rgf"] = list(polynomial.coeffs)
     if args.list:
         entries = []
-        for mask in lat.masks:
+        for mask in lat:
             pruned = format_plane_tree(lat.pruned_subtree(mask))
             lines.append(f"{lat.rank(mask)}\t{pruned}")
             entries.append({"rank": lat.rank(mask), "mask": hex(mask), "tree": pruned})

@@ -6,6 +6,14 @@ bitmasks over the preorder numbering of the base tree, so join and meet
 are bitwise or/and, the rank of a pruning is its edge count, and cover
 moves add one frontier vertex (a vertex outside whose parent is inside).
 
+Being order ideals, the prunings need not be listed to be queried
+(Birkhoff; Stanley, EC1 3.4).  ``PruningLattice`` answers from the
+children masks alone, in O(n): the count is the product of
+1 + count(child) over each vertex's children, a mask is a pruning when
+it holds the root, no bit past the tree, and each other vertex only with
+its parent, and its covers add one vertex of its frontier.  Only
+iteration lists the masks, on first use.
+
 The masks are listed bottom up over descending preorder ids, each
 vertex's list extended one child at a time by every join of a mask so
 far with one of the child's, so each mask costs one ``|``.  The joins are
@@ -23,6 +31,8 @@ constructor refuses trees of more than ``MATERIALIZE_LIMIT = 20`` vertices.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Iterator, Sequence
 
 from . import poly
@@ -62,51 +72,68 @@ def _check_size(size: int) -> None:
 
 
 class PruningLattice:
-    """All prunings of a base tree, materialized and ordered by rank then
-    bitmask value.  Only sensible for small trees; the constructor
-    refuses more than ``MATERIALIZE_LIMIT`` vertices."""
+    """All prunings of a base tree, ordered by rank then bitmask value.
+    Count, membership, covers and pruned subtrees come from the children
+    masks in O(n); only iteration lists the prunings, on first use.  The
+    constructor refuses more than ``MATERIALIZE_LIMIT`` vertices."""
 
     def __init__(self, base: PlaneTree):
         self.children = index_tree(base)
         self.size = len(self.children)
         _check_size(self.size)
-        self.masks = _subtree_masks(self.children)
-        self.masks.sort(key=int.bit_count)  # stable, so by rank, then by value
-        self._members = frozenset(self.masks)
         self._childmask = tuple([sum(1 << c for c in kids) for kids in self.children])
 
+    @functools.cached_property
+    def _listing(self) -> list[int]:
+        masks = _subtree_masks(self.children)
+        masks.sort(key=int.bit_count)  # stable, so by rank, then by value
+        return masks
+
+    def _reach(self, mask: object) -> int | None:
+        """The children of ``mask``'s vertices, or None when ``mask`` is no
+        pruning: an int that holds the root, no bit at or above ``size``,
+        and each other vertex only with its parent."""
+        if not isinstance(mask, int) or mask < 0 or not mask & 1 or mask >> self.size:
+            return None
+        reach = 0
+        for v in _bits(mask):
+            reach |= self._childmask[v]
+        return reach if mask & ~reach == 1 else None  # the root is no vertex's child
+
     def __len__(self) -> int:
-        return len(self.masks)
+        count = [0] * self.size
+        for v in range(self.size - 1, -1, -1):
+            count[v] = math.prod([1 + count[c] for c in self.children[v]])
+        return count[0]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.masks)
+        return iter(self._listing)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._members
+    def __contains__(self, mask: object) -> bool:
+        return self._reach(mask) is not None
 
     def rank(self, mask: int) -> int:
         return mask.bit_count() - 1
 
     def frontier(self, mask: int) -> int:
-        out = 0
-        for v in _bits(mask):
-            out |= self._childmask[v]
-        return out & ~mask
+        """The vertices outside pruning ``mask`` whose parent is inside."""
+        reach = self._reach(mask)
+        if reach is None:
+            raise ValueError("mask is not a pruning of the base tree")
+        return reach & ~mask
 
     def covers_above(self, mask: int) -> list[int]:
-        if mask not in self._members:
-            raise ValueError("mask is not a pruning of the base tree")
         return [mask | (1 << v) for v in _bits(self.frontier(mask))]  # ascending: _bits ascends, and no v is in mask
 
     def rank_polynomial(self) -> poly.Poly:
         out = [0] * self.size
-        for m in self.masks:
+        for m in self:
             out[m.bit_count() - 1] += 1
         return poly.Poly(out)
 
     def pruned_subtree(self, mask: int) -> PlaneTree:
         """The pruning itself as a plane tree (base child order kept)."""
-        if mask not in self._members:
+        if mask not in self:
             raise ValueError("mask is not a pruning of the base tree")
         return tree_of_index([[c for c in kids if mask >> c & 1] for kids in self.children])
 

@@ -5,6 +5,7 @@ import itertools
 import operator
 import random
 from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
@@ -140,7 +141,7 @@ class TestMaterialization:
             got = _subtree_masks(children)
             assert len(got) == len(want) and sorted(got) == sorted(want)
             assert got == sorted(got)
-            assert PruningLattice(t).masks == sorted(want, key=lambda m: (m.bit_count(), m))
+            assert list(PruningLattice(t)) == sorted(want, key=lambda m: (m.bit_count(), m))
 
     def test_enumeration_order(self):
         lat = PruningLattice(WORKED)
@@ -158,6 +159,49 @@ class TestMaterialization:
             assert top in lat
             assert lat.rank(1) == 0
             assert lat.rank(top) == vertex_count(t) - 1
+
+    def test_membership_matches_brute_force(self):
+        # every int from below zero to past the top bit, against the
+        # parent-closed subsets
+        for n in range(1, 9):
+            for t in plane_trees(n):
+                lat, want = PruningLattice(t), brute_prunings(t)
+                for m in range(-2, 1 << (lat.size + 1)):
+                    assert (m in lat) == (m in want), (t, m)
+
+    def test_queries_list_nothing(self, monkeypatch):
+        from treegamekit import lattice
+
+        def refuse(children):
+            raise AssertionError("listed the prunings")
+
+        monkeypatch.setattr(lattice, "_subtree_masks", refuse)
+        star = ((),) * (MATERIALIZE_LIMIT - 1)
+        lat = PruningLattice(star)
+        top = (1 << lat.size) - 1
+        assert len(lat) == 1 << (MATERIALIZE_LIMIT - 1)
+        assert 1 in lat and top in lat and 0b110 not in lat
+        assert lat.covers_above(1) == [1 | 1 << v for v in range(1, lat.size)]
+        assert lat.covers_above(top) == []
+        assert lat.pruned_subtree(top) == star
+        with pytest.raises(AssertionError):
+            list(lat)
+
+    def test_non_int_masks(self):
+        # a mask equal to a member but of another type is no member;
+        # bool is an int, and True and False read as 1 and 0
+        lat = PruningLattice(WORKED)
+        for m in (1.0, 13.0, Fraction(1), "1", None, (1,)):
+            assert m not in lat
+            with pytest.raises(ValueError):
+                lat.covers_above(m)
+            with pytest.raises(ValueError):
+                lat.pruned_subtree(m)
+        assert True in lat and False not in lat
+        assert lat.covers_above(True) == lat.covers_above(1)
+        assert lat.pruned_subtree(True) == ()
+        with pytest.raises(ValueError):
+            lat.covers_above(False)
 
     def test_size_guard(self):
         path = ()
@@ -214,7 +258,7 @@ class TestJoinMeet:
         for t in plane_trees(8):
             lat = PruningLattice(t)
             members = list(lat)
-            member_set = lat._members
+            member_set = set(lat)
             for a, b in itertools.combinations(members, 2):
                 assert (a | b) in member_set
                 assert (a & b) in member_set
@@ -277,8 +321,11 @@ class TestRankGeneratingFunction:
         assert rank_generating_function(path) == Poly((1,) * 25)
 
     def test_total_count_at_one(self):
-        for t in plane_trees(7):
-            assert rank_generating_function(t)(1) == len(PruningLattice(t))
+        # the counted size, the listed size and phi(1) agree
+        for n in range(1, 10):
+            for t in plane_trees(n):
+                lat = PruningLattice(t)
+                assert len(lat) == len(list(lat)) == rank_generating_function(t)(1)
 
 
 class TestPrunedSubtrees:
