@@ -42,6 +42,24 @@ ERRORS = [
     ["stirling", "--n", "3", "--k", "5"],
     ["euler", "--tree", "(())", "--q", "6", "--strict"],
     ["tamari-join", "--a", "()", "--b", "(())"],
+    # the text formats: whitespace, which the echo normalizes, and the exact message and position of each error
+    ["winner", "--tree", "\t(\n()\u00a0(()\u3000())\t()\n)\u3000"],
+    ["label", "--mode", "westpop", "--tree", "\u00a0(\t(()\n())\u3000()\u00a0) "],
+    ["winner", "--tree", "(()())"],
+    ["winner", "--tree", "() x"],
+    ["winner", "--tree", "())"],
+    ["winner", "--tree", ")("],
+    ["gamma-inv", "--tree", "01(2)"],
+    ["gamma-inv", "--tree", "1 (2)"],
+    ["gamma-inv", "--tree", "1( 2 )"],
+    ["gamma-inv", "--tree", "1(\u0662)"],
+    ["gamma-inv", "--tree", "1(2))"],
+    ["gamma-inv", "--tree", "1((2))"],
+    ["gamma-inv", "--tree", "1(" + "7" * 4400 + ")"],
+    ["gamma", "--perm", " 1, 3,2"],
+    ["gamma", "--perm", "1,,2"],
+    ["gamma", "--perm", "1,2,"],
+    ["gamma", "--perm", "1,x"],
 ]
 
 
@@ -58,6 +76,16 @@ def star(n: int) -> str:
 NINE = "((()) () (() (())) ())"
 FIFTEEN = "((() ()) (((()))) (() () (())) (()))"
 FORTY = f"({FIFTEEN} {NINE} {path(6)} {star(5)} () (() ()))"
+SPACED_FORTY = FORTY.replace(" ", "\t\n")
+# A 60-entry permutation and its first-inversion tree.
+SIXTY = (
+    "1,47,51,43,39,37,27,30,55,3,56,15,22,14,49,29,35,25,33,24,52,45,48,58,19,40,54,9,59,41,"
+    "6,36,8,5,34,46,60,10,12,28,2,42,17,50,26,57,13,44,7,4,23,31,32,53,16,18,11,38,20,21"
+)
+SIXTY_TREE = (
+    "1(2(3(27(37(39(43(47 51)))) 30 55) 5(6(9(14(15(56) 22) 19(24(25(29(49) 35) 33) 45(52) 48 58) 40 54) "
+    "41(59)) 8(36)) 10(34 46 60) 12 28) 4(7(13(17(42) 26(50) 57) 44)) 11(16(23 31 32 53) 18) 20(38) 21)"
+)
 
 LARGER = [
     ["prunings", "--tree", star(21)],  # over the materialize limit
@@ -76,6 +104,11 @@ LARGER = [
             ["montecarlo", "--tree", t, "--q=-1/2", "--trials", "500"],
         )
     ),
+    ["winner", "--tree", SPACED_FORTY],
+    ["label", "--mode", "eastpush", "--tree", SPACED_FORTY],
+    ["label", "--mode", "westpop", "--tree", SPACED_FORTY],
+    ["gamma", "--perm", SIXTY],
+    ["gamma-inv", "--tree", SIXTY_TREE],
     ["phi", "--via", "prunings", "--tree", star(21)],  # over the profile limit
     ["tamari-fiber", "--tree", f"({path(20)} {path(20)})"],
     ["tamari-fiber", "--tree", f"({path(60)} {path(60)})"],
