@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import argparse
 import contextlib
 import json
 import math
@@ -238,6 +239,34 @@ class TestJsonErrors:
         code, out, err = run(capsys, "--json", "seq", "--n", "3", "--all-methods")
         assert code == 2 and err == "error: TGK_MAX_N must be an integer, got 'x'\n"
         assert json.loads(out) == {"error": "TGK_MAX_N must be an integer, got 'x'", "kind": "input"}
+
+
+
+def _commands():
+    return list(next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+HELP_AND_USAGE_ERRORS = [
+    ["--help"],
+    *([command, "--help"] for command in _commands()),
+    [],
+    ["nosuch"],
+    ["seq", "--n", "3", "extra"],
+    ["--json", "seq", "--n", "3", "extra"],
+]
+
+
+class TestParserPerCommand:
+    """A process builds only its command's parser; what it prints for help
+    and usage errors is what the parser of every command prints."""
+
+    @pytest.mark.parametrize("argv", HELP_AND_USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_output_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        normal = run(capsys, *argv)
+        full = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda *args: full)
+        assert run(capsys, *argv) == normal
+        assert normal[0] in (0, 2) and (normal[1] or normal[2])
 
 
 class TestLabelAndAvoid:
