@@ -32,7 +32,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__, checks, game, geometry, lattice, poly, seq, tamari, tree
-from .perm import avoids, format_permutation, parse_permutation
+from .perm import _parse_integers, avoids, format_permutation, parse_permutation
 from .report import CENSUS_LIMIT, VerifyConfig
 from .tree import (
     format_labeled_tree,
@@ -166,10 +166,9 @@ def _handle_stirling(args) -> Handled:
 
 
 def _handle_gamma(args) -> Handled:
-    p = parse_permutation(args.perm)
-    lt = tree.first_inversion_tree(p)
-    text = format_labeled_tree(lt)
-    return 0, {"perm": format_permutation(p), "tree": text}, [text]
+    p = _parse_integers(args.perm)
+    text = format_labeled_tree(tree.first_inversion_tree(p))  # which checks p the one time
+    return 0, {"perm": format_permutation(p) if args.json else None, "tree": text}, [text]
 
 
 def _handle_gamma_inv(args) -> Handled:
@@ -247,12 +246,13 @@ def _handle_winner(args) -> Handled:
     who = game.winner(t)
     move = game.optimal_move(t)
     lines = [who.value]
+    children = [format_plane_tree(child) if child else "()" for child in t] if args.json else None
     subtree = None
     if move is not None:
-        subtree = format_plane_tree(t[move - 1])
+        subtree = children[move - 1] if args.json else format_plane_tree(t[move - 1])
         lines.append(f"move {move} {subtree}")
     payload = {
-        "tree": format_plane_tree(t) if args.json else None,
+        "tree": f"({' '.join(children)})" if args.json else None,
         "winner": who.value,
         "move": move,
         "subtree": subtree,
@@ -359,23 +359,24 @@ def _handle_verify(args) -> Handled:
 
 
 class _UsageError(Exception):
-    """A command line the parser could not read; its usage and message
-    are on stderr, as ``argparse`` prints them."""
+    """A command line a parser could not read; ``parser`` is the one whose
+    usage ``argparse`` would print with the message."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)  # what argparse prints before it exits 2
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message)
+        exc = _UsageError(message)
+        exc.parser = self
+        raise exc
 
 
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The ``tgk`` parser, built on the first call and shared by every later
-    one in the process.  It takes no input, so it is a constant of the
+@functools.lru_cache(maxsize=32)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``tgk`` parser of every subcommand, or of ``command`` alone,
+    built on the first call for each and shared by every later one in the
+    process.  It takes no input but the name, so it is a constant of the
     program, and ``parse_args`` reads it without changing it: each call gets
-    a fresh namespace.  The cache holds this one parser and nothing else."""
+    a fresh namespace.  The cache holds at most one parser per name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit one JSON document instead of text")
@@ -385,70 +386,72 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help):
+    def subcommand(name, handler, help):
+        if command not in (None, name):  # take the arguments of a subcommand not built, and drop them
+            return argparse.Namespace(add_argument=lambda *args, **kwargs: None)
         p = sub.add_parser(name, parents=[common], help=help)
         p.set_defaults(handler=handler)
         return p
 
-    p = command("seq", _handle_seq, "the census sequence, five ways")
+    p = subcommand("seq", _handle_seq, "the census sequence, five ways")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=_SEQ_METHODS, default="stirling")
     p.add_argument("--all-methods", action="store_true")
 
-    p = command("stirling", _handle_stirling, "unsigned Stirling numbers, first kind")
+    p = subcommand("stirling", _handle_stirling, "unsigned Stirling numbers, first kind")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
 
-    p = command("gamma", _handle_gamma, "permutation to increasing tree")
+    p = subcommand("gamma", _handle_gamma, "permutation to increasing tree")
     p.add_argument("--perm", required=True)
 
-    p = command("gamma-inv", _handle_gamma_inv, "increasing tree to permutation")
+    p = subcommand("gamma-inv", _handle_gamma_inv, "increasing tree to permutation")
     p.add_argument("--tree", required=True)
 
-    p = command("label", _handle_label, "stack labelings of a plane tree")
+    p = subcommand("label", _handle_label, "stack labelings of a plane tree")
     p.add_argument("--mode", choices=("eastpush", "westpop"), required=True)
     p.add_argument("--tree", required=True)
 
-    p = command("avoid", _handle_avoid, "pattern avoidance query")
+    p = subcommand("avoid", _handle_avoid, "pattern avoidance query")
     p.add_argument("--pattern", choices=("213", "312"), required=True)
     p.add_argument("--perm", required=True)
 
-    p = command("phi", _handle_phi, "game polynomial of a plane tree")
+    p = subcommand("phi", _handle_phi, "game polynomial of a plane tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--via", choices=("recursion", "prunings"), default="recursion")
     p.add_argument("--eval", default=None, metavar="Q", help="also evaluate at a rational q")
 
-    p = command("prunings", _handle_prunings, "the pruning lattice of a plane tree")
+    p = subcommand("prunings", _handle_prunings, "the pruning lattice of a plane tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--rgf", action="store_true", help="include the rank generating function")
     p.add_argument("--list", action="store_true", help="list every pruning")
 
-    p = command("winner", _handle_winner, "game winner and optimal move")
+    p = subcommand("winner", _handle_winner, "game winner and optimal move")
     p.add_argument("--tree", required=True)
 
-    p = command("tamari-fiber", _handle_tamari_fiber, "all permutations over a tree")
+    p = subcommand("tamari-fiber", _handle_tamari_fiber, "all permutations over a tree")
     p.add_argument("--tree", required=True)
 
     for name in ("tamari-join", "tamari-meet"):
-        p = command(name, _handle_tamari_op, f"{name.split('-')[1]} of two trees")
+        p = subcommand(name, _handle_tamari_op, f"{name.split('-')[1]} of two trees")
         p.add_argument("--a", required=True, metavar="TREE")
         p.add_argument("--b", required=True, metavar="TREE")
 
-    p = command("tamari-verify", _handle_tamari_verify, "congruence checks at size n")
+    p = subcommand("tamari-verify", _handle_tamari_verify, "congruence checks at size n")
     p.add_argument("--n", type=int, required=True)
 
-    p = command("euler", _handle_euler, "cell-level geometry of a tree")
+    p = subcommand("euler", _handle_euler, "cell-level geometry of a tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--q", type=int, action="append", help="also count points at q (repeatable)")
     p.add_argument("--strict", action="store_true", help="reject q that is not a prime power")
 
-    p = command("montecarlo", _handle_montecarlo, "empirical check of phi at q in [-1,0]")
+    p = subcommand("montecarlo", _handle_montecarlo, "empirical check of phi at q in [-1,0]")
     p.add_argument("--tree", required=True)
     p.add_argument("--q", required=True, help="rational in [-1, 0]; write fractions as --q=-1/2")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = command("verify", _handle_verify, "run the cross-identity suite")
+    p = subcommand("verify", _handle_verify, "run the cross-identity suite")
     defaults = VerifyConfig()
     p.add_argument("--n", type=int, default=defaults.n)
     p.add_argument("--seed", type=int, default=defaults.seed)
@@ -466,12 +469,26 @@ def _error(message: str, kind: str, as_json: bool) -> int:
     return 2
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Read ``argv`` with the parser of the command it names alone.  Help,
+    a line that names no command and a line that this parser refuses go to
+    the parser of every command, whose usage line lists them all; so what is
+    printed is what that parser prints."""
+    if not any(a.startswith("-h") or len(a) > 2 and "--help".startswith(a) for a in argv):
+        command = next((a for a in argv if not a.startswith("-")), None)
+        if command is not None:
+            with contextlib.suppress(_UsageError):
+                return build_parser(command).parse_args(argv)
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
+        exc.parser.print_usage(sys.stderr)  # what argparse prints before it exits 2
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
         # the line was not read, so look for --json, or a prefix argparse takes for it, by hand
         return _error(str(exc), "usage", any(a.startswith("--j") and "--json".startswith(a) for a in argv))
     except SystemExit as exc:  # --help and --version

@@ -58,21 +58,29 @@ def check_fixes_one(values: Sequence[int]) -> Perm:
 
 
 def parse_permutation(text: str) -> Perm:
+    return check_permutation(_parse_integers(text))
+
+
+def _parse_integers(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, not yet checked to be a
+    permutation."""
     parts = text.split(",")
-    values = []
+    try:
+        return tuple(map(int, map(str.strip, parts)))
+    except ValueError:  # name the first bad entry
+        pass
     for k, part in enumerate(parts):
         part = part.strip()
         if not part:
             raise ValueError(f"empty entry at index {k} in permutation text {text!r}")
         try:
-            values.append(int(part))
+            int(part)
         except ValueError:
             raise ValueError(f"bad integer {part!r} at index {k} in permutation text") from None
-    return check_permutation(values)
 
 
 def format_permutation(p: Sequence[int]) -> str:
-    return ",".join(str(v) for v in p)
+    return ",".join(map(str, p))
 
 
 def inversions(p: Sequence[int]) -> frozenset[tuple[int, int]]:

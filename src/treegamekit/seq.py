@@ -26,8 +26,7 @@ import operator
 from fractions import Fraction
 from typing import Callable
 
-from . import game
-from .poly import Poly
+from . import game, poly
 
 
 def _stirling_rows(n_max: int):
@@ -158,7 +157,7 @@ def census_table(n_max: int, census_limit: int = game.CENSUS_LIMIT) -> dict[str,
     return {name: route(n_max, census_limit) for name, route in METHODS.items()}
 
 
-def separator_weight_polynomial(n: int) -> Poly:
+def separator_weight_polynomial(n: int) -> poly.Poly:
     """Sum of q^(separator count) over all valid separator placements of
     permutations of {1..n} fixing 1; coefficient k-1 is (k-1)! * c(n, k).
 
@@ -167,4 +166,4 @@ def separator_weight_polynomial(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Poly(_separator_weights(_stirling_row(n)))
+    return poly.Poly(_separator_weights(_stirling_row(n)))

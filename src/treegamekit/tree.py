@@ -1,14 +1,23 @@
 """Plane trees, labelled trees, and the first-inversion tree bijection.
 
 A plane tree is a nested tuple of its child trees; the single vertex is
-``()``.  The text grammar is ``tree := '(' tree* ')'`` with optional
-whitespace between siblings on input and a single space on output, so
+``()``.  The text grammar is ``tree := '(' tree* ')'``, with whitespace
+anywhere on input and a single space between siblings on output, so
 ``((()) () (() ()))`` is a root with three children.
 
 A labelled tree is a ``(label, children)`` pair with positive integer
-labels, written ``1(2(6) 3 4(5 7))``.  A labelled tree is increasing
+labels, written ``1(2(6) 3 4(5 7))``; on input, whitespace may stand
+anywhere but between a label and its '('.  A labelled tree is increasing
 when every child label exceeds its parent's and the labels are exactly
 1..n (so the root is 1).
+
+The text is read and written by string methods, which do the work per
+character in C.  A parser takes the whitespace out with ``str.split()``,
+which drops exactly what ``str.isspace()`` accepts, and builds the tuples
+in one loop over tokens (a leaf ``()``, a parenthesis, a label with or
+without its '('); only text that fails is scanned again, character by
+character, for the position of its first error.  A formatter joins the
+pieces that one walk lists, and ``str.replace`` puts in the separators.
 
 ``first_inversion_tree`` sends a permutation fixing 1 to an increasing
 tree: the parent of each non-initial value is the value at its first
@@ -21,7 +30,9 @@ Nothing here recurses, so trees may be as deep as memory allows: nested
 tuples are folded bottom up by ``_fold``, an explicit-stack traversal
 (Knuth, TAOCP Vol. 1, Section 2.3.1, Algorithm T), or numbered in
 preorder by ``index_tree``, whose children table over those ids is the
-whole index; children tables are built by one loop over ids.
+whole index; children tables are built by one loop over ids.  The
+formatters walk preorder on a stack of vertices and pending ')'s, and
+the parsers keep one list per open vertex, with no call per vertex.
 The postorder readings (``fif_from_tree``, ``perm_from_increasing_tree``)
 instead walk preorder with children taken right to left, which meets the
 vertices in reverse postorder, and make no call per vertex.
@@ -29,6 +40,7 @@ vertices in reverse postorder, and make no call per vertex.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -42,7 +54,6 @@ PlaneTree = tuple
 LabeledTree = tuple
 
 _label = itemgetter(0)
-_skip_ws = re.compile(r"\s*").match  # r"\s" matches exactly what str.isspace() accepts
 
 
 # ---------------------------------------------------------------------------
@@ -83,24 +94,43 @@ def parse_plane_tree(text: str) -> PlaneTree:
     >>> parse_plane_tree("(()(()))")
     ((), ((),))
     """
-    open_lists: list[list] = [[]]  # one per open vertex, below one that takes the root
-    for pos, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        if open_lists[0]:
-            raise ValueError(f"trailing input at position {pos} in plane-tree text")
+    chars = "".join(text.split())  # str.split() drops exactly what str.isspace() accepts
+    if not chars.replace("(", "").replace(")", ""):
+        # the children so far of each open vertex's parent, and of the innermost one (or the root alone)
+        open_kids, kids = [], []
+        with contextlib.suppress(IndexError):  # a ')' with no vertex open
+            for token in chars.replace("()", "."):  # a leaf is one token
+                if token == ".":
+                    kids.append(())
+                elif token == "(":
+                    open_kids.append(kids)
+                    kids = []
+                else:
+                    done = tuple(kids)
+                    kids = open_kids.pop()
+                    kids.append(done)
+            if len(kids) == 1 and not open_kids:
+                return kids[0]
+    raise ValueError(_plane_tree_error(text))
+
+
+def _plane_tree_error(text: str) -> str:
+    """The message for the first character at which ``text`` leaves the
+    parenthesis grammar."""
+    depth = 0
+    for k, match in enumerate(re.finditer(r"\S", text)):  # r"\S" matches what str.isspace() rejects
+        pos, ch = match.start(), match.group()
+        if k and not depth:
+            return f"trailing input at position {pos} in plane-tree text"
         if ch == "(":
-            open_lists.append([])
-        elif ch == ")" and len(open_lists) > 1:
-            done = tuple(open_lists.pop())
-            open_lists[-1].append(done)
+            depth += 1
+        elif ch == ")" and depth:
+            depth -= 1
         else:
-            raise ValueError(f"expected '(' at position {pos} in plane-tree text")
-    if len(open_lists) > 1:
-        raise ValueError(f"unbalanced '(': input ended at position {len(text)}")
-    if not open_lists[0]:
-        raise ValueError(f"expected '(' at position {len(text)} in plane-tree text")
-    return open_lists[0][0]
+            return f"expected '(' at position {pos} in plane-tree text"
+    if depth:
+        return f"unbalanced '(': input ended at position {len(text)}"
+    return f"expected '(' at position {len(text)} in plane-tree text"
 
 
 def format_plane_tree(t: PlaneTree) -> str:
@@ -110,45 +140,72 @@ def format_plane_tree(t: PlaneTree) -> str:
     '(() (()))'
     """
     parts: list[str] = []
-    _fold(t, lambda node: parts.append("(") or iter(node), lambda node, _: parts.append(")"))
+    stack = [t]  # the vertices still to write, and None for each ')' still to write
+    while stack:
+        node = stack.pop()
+        if node is None:
+            parts.append(")")
+        elif node:
+            parts.append("(")
+            stack.append(None)
+            stack += node[::-1]
+        else:
+            parts.append("()")
     return "".join(parts).replace(")(", ") (")
 
 
 def parse_labeled_tree(text: str) -> LabeledTree:
-    n = len(text)
-    pos = _skip_ws(text, 0).end()
-    open_nodes: list[tuple[int, list]] = []  # (label, children so far) per open list
-    while True:
-        if pos >= n and open_nodes:
-            raise ValueError(f"unbalanced '(': input ended at position {pos}")
-        start = pos
-        while pos < n and text[pos].isdecimal():  # exactly the digits int() reads
-            pos += 1
-        if pos == start:
-            raise ValueError(f"expected a label at position {start} in labelled-tree text")
+    """Parse ``label`` or ``label(child child ...)``, labels being decimal
+    integers; whitespace may stand around any token but between a label
+    and its '('.  Errors report character positions."""
+    tokens = text.replace("(", "( ").replace(")", " ) ").split()  # 'label(', 'label' and ')'
+    chars = "".join(tokens)
+    if "()" not in chars and chars.replace("(", "").replace(")", "").isdecimal():
+        # (label, the list it goes into) per open vertex, and the innermost one's children (or the root alone)
+        open_nodes, kids = [], []
+        with contextlib.suppress(IndexError, ValueError):  # a ')' too many, a '(' after no label, a label too long
+            for token in tokens:
+                if token == ")":
+                    label, parent = open_nodes.pop()
+                    parent.append((label, tuple(kids)))
+                    kids = parent
+                elif token[-1] == "(":
+                    open_nodes.append((int(token[:-1]), kids))
+                    kids = []
+                else:
+                    kids.append((int(token), ()))
+            if len(kids) == 1 and not open_nodes:
+                return kids[0]
+    raise ValueError(_labeled_tree_error(text))
+
+
+def _labeled_tree_error(text: str) -> str:
+    """The message for the first token at which ``text`` leaves the
+    labelled-tree grammar.  A token is a label with the '(' that follows
+    it at once, if any, or one other character."""
+    depth, complete = 0, False  # the vertices open, and whether the last one read is closed
+    for match in re.finditer(r"\d+\(?|\S", text):  # r"\d" matches what str.isdecimal() accepts
+        token, pos = match.group(), match.start()
+        if complete:
+            if not depth:
+                return f"trailing input at position {pos} in labelled-tree text"
+            if token == ")":
+                depth -= 1
+                continue
+        if not token[0].isdecimal():
+            if token == ")" and depth:  # right after 'label('
+                return f"empty child list at position {pos}; leaves omit parentheses"
+            return f"expected a label at position {pos} in labelled-tree text"
+        digits = token.rstrip("(")
         try:
-            node = (int(text[start:pos]), ())
+            int(digits)
         except ValueError:  # past the interpreter's digit limit
-            message = f"label at position {start} is too long ({pos - start} digits) in labelled-tree text"
-            raise ValueError(message) from None
-        if pos < n and text[pos] == "(":
-            open_nodes.append((node[0], []))
-            pos = _skip_ws(text, pos + 1).end()
-            if pos < n and text[pos] == ")":
-                raise ValueError(f"empty child list at position {pos}; leaves omit parentheses")
-            continue
-        while True:  # the node is complete: close every list that ends here
-            pos = _skip_ws(text, pos).end()
-            if not open_nodes:
-                if pos != n:
-                    raise ValueError(f"trailing input at position {pos} in labelled-tree text")
-                return node
-            open_nodes[-1][1].append(node)
-            if pos >= n or text[pos] != ")":
-                break
-            lbl, kids = open_nodes.pop()
-            node = (lbl, tuple(kids))
-            pos += 1
+            return f"label at position {pos} is too long ({len(digits)} digits) in labelled-tree text"
+        complete = token == digits
+        depth += not complete
+    if depth:
+        return f"unbalanced '(': input ended at position {len(text)}"
+    return f"expected a label at position {len(text)} in labelled-tree text"
 
 
 def format_labeled_tree(lt: LabeledTree) -> str:
@@ -156,14 +213,22 @@ def format_labeled_tree(lt: LabeledTree) -> str:
     >>> format_labeled_tree((1, ((2, ((6, ()),)), (3, ()), (4, ((5, ()), (7, ()))))))
     '1(2(6) 3 4(5 7))'
     """
-    parts: list[str] = []  # a space before every label; the replace drops those after '('
-
-    def enter(node: LabeledTree) -> Iterator[LabeledTree]:
-        parts.append(f" {node[0]}(" if node[1] else f" {node[0]}")
-        return iter(node[1])
-
-    _fold(lt, enter, lambda node, _: node[1] and parts.append(")"))
-    return "".join(parts).replace("( ", "(")[1:]
+    parts: list[str] = []  # a space and a slot before every label; the replace drops the spaces after '('
+    labels = []  # what fills the slots, in preorder
+    stack = [lt]  # the vertices still to write, and None for each ')' still to write
+    while stack:
+        node = stack.pop()
+        if node is None:
+            parts.append(")")
+        else:
+            labels.append(node[0])
+            if node[1]:
+                parts.append(" %s(")
+                stack.append(None)
+                stack += node[1][::-1]
+            else:
+                parts.append(" %s")
+    return ("".join(parts) % tuple(labels)).replace("( ", "(")[1:]
 
 
 # ---------------------------------------------------------------------------

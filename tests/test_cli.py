@@ -268,6 +268,19 @@ class TestParserPerCommand:
         assert run(capsys, *argv) == normal
         assert normal[0] in (0, 2) and (normal[1] or normal[2])
 
+    def test_a_command_line_builds_its_command_alone(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+        assert run(capsys, "seq", "--n", "3")[0] == 0
+        assert run(capsys, "--json", "winner", "--tree", "(())")[0] == 0
+        assert built == ["seq", "winner"]
+        commands = next(a for a in real("seq")._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(commands.choices) == ["seq"]
+        assert run(capsys, "seq", "--n", "x")[0] == 2  # refused, then worded by the parser of every command
+        assert run(capsys, "seq", "-h")[0] == 0
+        assert built[2:] == ["seq", None, None]
+
 
 class TestLabelAndAvoid:
     def test_eastpush(self, capsys):
@@ -620,10 +633,14 @@ class TestTextModeFormatting:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out
         assert formatted.count(given) == 0
+        formatted.clear()
         code, out, _ = run(capsys, "--json", *argv)
         assert code == 0
         assert json.loads(out)["tree"] == text
-        assert formatted.count(given) == 1
+        if argv[0] == "winner":  # it joins its root's children, each formatted once, and reuses the move's
+            assert formatted == [child for child in given if child]
+        else:
+            assert formatted.count(given) == 1
 
     # the payload lists a polynomial's coefficients, so --json never prints its text
     POLYNOMIAL_COMMANDS = [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from treegamekit.perm import (
     weak_leq,
 )
 from treegamekit.seq import census_by_stirling_sum
+
+from test_tree import agree_on_edits, outcome
 
 
 def first_inversion_orbit(t, i):
@@ -501,3 +504,46 @@ class TestSeparatorPlacements:
     def test_signed_total_by_hand_n3(self):
         # 123 contributes 1-2+1, 132 contributes 1-1+1: total 1
         assert signed_placement_total(3) == 1
+
+
+# ---------------------------------------------------------------------------
+# the text form against the code it replaced
+
+
+def oracle_parse_permutation(text):
+    parts = text.split(",")
+    values = []
+    for k, part in enumerate(parts):
+        part = part.strip()
+        if not part:
+            raise ValueError(f"empty entry at index {k} in permutation text {text!r}")
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise ValueError(f"bad integer {part!r} at index {k} in permutation text") from None
+    return check_permutation(values)
+
+
+def oracle_format_permutation(p):
+    return ",".join(str(v) for v in p)
+
+
+def random_permutation_text(rng):
+    values = list(range(1, rng.randint(1, 12) + 1))
+    rng.shuffle(values)
+    return format_permutation(values)
+
+
+class TestTextFormAgainstOracles:
+    def test_parse_on_edited_texts(self):
+        agree_on_edits(parse_permutation, oracle_parse_permutation, random_permutation_text, 2804)
+
+    def test_spacing_the_oracle_accepts(self):
+        for text in [" 1, 3,2", "1 ,\t2", "\x1c2,1", "1,\x1f2\x1c", "1_0,2", "٢,1", "+1,2", "1,,2", "1,2,", "1,x"]:
+            assert outcome(parse_permutation, text) == outcome(oracle_parse_permutation, text)
+
+    def test_format(self):
+        rng = random.Random(2805)
+        for _ in range(200):
+            p = parse_permutation(random_permutation_text(rng))
+            assert format_permutation(p) == oracle_format_permutation(p)

@@ -123,7 +123,7 @@ def test_one_loader():
 # package and its CLI, or a tgk command.
 NOT_LOADED = {
     "": {"checks", "game", "geometry", "lattice", "poly", "seq", "tamari"},
-    "seq --n 3": {"checks", "geometry", "lattice", "tamari"},
+    "seq --n 3": {"checks", "geometry", "lattice", "poly", "tamari"},
     "tamari-verify --n 3": {"checks", "game", "geometry", "lattice", "poly", "seq"},
     "phi --tree (())": {"checks", "lattice", "tamari"},
 }

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -637,3 +638,165 @@ class TestInlineWalksMatchFold:
                 assert p == (1, *fold_increasing_postorder(lt)[:-1])
                 # == on nested tuples this deep would recurse, so compare the texts
                 assert format_labeled_tree(first_inversion_tree(p)) == format_labeled_tree(lt)
+
+
+# ---------------------------------------------------------------------------
+# the text formats against the character-by-character code they replaced
+
+_skip_ws = re.compile(r"\s*").match
+
+
+def oracle_parse_plane_tree(text):
+    open_lists = [[]]  # one per open vertex, below one that takes the root
+    for pos, ch in enumerate(text):
+        if ch.isspace():
+            continue
+        if open_lists[0]:
+            raise ValueError(f"trailing input at position {pos} in plane-tree text")
+        if ch == "(":
+            open_lists.append([])
+        elif ch == ")" and len(open_lists) > 1:
+            done = tuple(open_lists.pop())
+            open_lists[-1].append(done)
+        else:
+            raise ValueError(f"expected '(' at position {pos} in plane-tree text")
+    if len(open_lists) > 1:
+        raise ValueError(f"unbalanced '(': input ended at position {len(text)}")
+    if not open_lists[0]:
+        raise ValueError(f"expected '(' at position {len(text)} in plane-tree text")
+    return open_lists[0][0]
+
+
+def oracle_format_plane_tree(t):
+    parts = []
+    _fold(t, lambda node: parts.append("(") or iter(node), lambda node, _: parts.append(")"))
+    return "".join(parts).replace(")(", ") (")
+
+
+def oracle_parse_labeled_tree(text):
+    n = len(text)
+    pos = _skip_ws(text, 0).end()
+    open_nodes = []  # (label, children so far) per open list
+    while True:
+        if pos >= n and open_nodes:
+            raise ValueError(f"unbalanced '(': input ended at position {pos}")
+        start = pos
+        while pos < n and text[pos].isdecimal():  # exactly the digits int() reads
+            pos += 1
+        if pos == start:
+            raise ValueError(f"expected a label at position {start} in labelled-tree text")
+        try:
+            node = (int(text[start:pos]), ())
+        except ValueError:  # past the interpreter's digit limit
+            message = f"label at position {start} is too long ({pos - start} digits) in labelled-tree text"
+            raise ValueError(message) from None
+        if pos < n and text[pos] == "(":
+            open_nodes.append((node[0], []))
+            pos = _skip_ws(text, pos + 1).end()
+            if pos < n and text[pos] == ")":
+                raise ValueError(f"empty child list at position {pos}; leaves omit parentheses")
+            continue
+        while True:  # the node is complete: close every list that ends here
+            pos = _skip_ws(text, pos).end()
+            if not open_nodes:
+                if pos != n:
+                    raise ValueError(f"trailing input at position {pos} in labelled-tree text")
+                return node
+            open_nodes[-1][1].append(node)
+            if pos >= n or text[pos] != ")":
+                break
+            lbl, kids = open_nodes.pop()
+            node = (lbl, tuple(kids))
+            pos += 1
+
+
+def oracle_format_labeled_tree(lt):
+    parts = []  # a space before every label; the replace drops those after '('
+
+    def enter(node):
+        parts.append(f" {node[0]}(" if node[1] else f" {node[0]}")
+        return iter(node[1])
+
+    _fold(lt, enter, lambda node, _: node[1] and parts.append(")"))
+    return "".join(parts).replace("( ", "(")[1:]
+
+
+EDIT_ALPHABET = "(),x07٢² \t "
+EDITED = 5000  # strings per parser
+
+
+def edited(text, rng):
+    """``text`` with one to three characters inserted, deleted or replaced,
+    each inserted one drawn from ``EDIT_ALPHABET`` or the text itself."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        new = rng.choice(EDIT_ALPHABET + text)
+        op = rng.randrange(3)
+        if op == 0 or i == len(chars):
+            chars.insert(i, new)
+        elif op == 1:
+            del chars[i]
+        else:
+            chars[i] = new
+    return "".join(chars)
+
+
+def outcome(parse, text):
+    """What ``parse(text)`` returns, or the message of its ValueError."""
+    try:
+        return "value", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def agree_on_edits(parse, oracle, canonical, seed):
+    rng = random.Random(seed)
+    errors = 0
+    for k in range(EDITED):
+        text = edited(canonical(rng), rng)
+        got = outcome(parse, text)
+        assert got == outcome(oracle, text), text
+        errors += got[0] == "error"
+    assert 0 < errors < EDITED  # both kinds of outcome were compared
+
+
+def random_labeled_tree(rng):
+    n = rng.randint(1, 12)
+    rest = list(range(2, n + 1))
+    rng.shuffle(rest)
+    return first_inversion_tree((1, *rest))
+
+
+class TestTextFormatsAgainstOracles:
+    def test_plane_parse_on_edited_texts(self):
+        agree_on_edits(parse_plane_tree, oracle_parse_plane_tree,
+                       lambda rng: format_plane_tree(random_plane_tree(rng.randint(1, 12), rng)), 2801)
+
+    def test_labeled_parse_on_edited_texts(self):
+        agree_on_edits(parse_labeled_tree, oracle_parse_labeled_tree,
+                       lambda rng: format_labeled_tree(random_labeled_tree(rng)), 2802)
+
+    def test_formats_on_random_trees(self):
+        rng = random.Random(2803)
+        for _ in range(1000):
+            t = random_plane_tree(rng.randint(1, 40), rng)
+            assert format_plane_tree(t) == oracle_format_plane_tree(t)
+            for lt in (random_labeled_tree(rng), eastpush_labeling(t), westpop_labeling(t)):
+                assert format_labeled_tree(lt) == oracle_format_labeled_tree(lt)
+
+    def test_whitespace_and_digits_the_oracles_accept(self):
+        for text in ["\t(\n() (()　())\t()\n)　", "(()())", " ( ) ", "(\x1c)"]:
+            assert parse_plane_tree(text) == oracle_parse_plane_tree(text)
+        for text in ["01(2)", "1( 2 )", "1(٢)", "1(2(3)4)", " 1\t(2) ", "1(\x1c2\x1c)", "١(٢٣ 4)"]:
+            assert outcome(parse_labeled_tree, text) == outcome(oracle_parse_labeled_tree, text)
+
+    def test_deep_trees_round_trip(self):
+        for t in deep_trees():
+            text = format_plane_tree(t)
+            assert text == oracle_format_plane_tree(t)
+            assert format_plane_tree(parse_plane_tree(text)) == text
+            for lt in (westpop_labeling(t), eastpush_labeling(t)):
+                labeled = format_labeled_tree(lt)
+                assert labeled == oracle_format_labeled_tree(lt)
+                assert format_labeled_tree(parse_labeled_tree(labeled)) == labeled
