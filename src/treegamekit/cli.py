@@ -376,7 +376,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     built on the first call for each and shared by every later one in the
     process.  It takes no input but the name, so it is a constant of the
     program, and ``parse_args`` reads it without changing it: each call gets
-    a fresh namespace.  The cache holds at most one parser per name."""
+    a fresh namespace.  The cache holds one parser per name, 32 at most."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit one JSON document instead of text")

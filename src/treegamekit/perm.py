@@ -67,7 +67,7 @@ def _parse_integers(text: str) -> tuple[int, ...]:
     parts = text.split(",")
     try:
         return tuple(map(int, map(str.strip, parts)))
-    except ValueError:  # name the first bad entry
+    except ValueError:  # name the first bad entry: the loop below meets it and raises
         pass
     for k, part in enumerate(parts):
         part = part.strip()

@@ -122,12 +122,9 @@ def _plane_tree_error(text: str) -> str:
         pos, ch = match.start(), match.group()
         if k and not depth:
             return f"trailing input at position {pos} in plane-tree text"
-        if ch == "(":
-            depth += 1
-        elif ch == ")" and depth:
-            depth -= 1
-        else:
+        if ch not in "()" or ch == ")" and not depth:
             return f"expected '(' at position {pos} in plane-tree text"
+        depth += 1 if ch == "(" else -1
     if depth:
         return f"unbalanced '(': input ended at position {len(text)}"
     return f"expected '(' at position {len(text)} in plane-tree text"

@@ -241,7 +241,6 @@ class TestJsonErrors:
         assert json.loads(out) == {"error": "TGK_MAX_N must be an integer, got 'x'", "kind": "input"}
 
 
-
 def _commands():
     return list(next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices)
 
