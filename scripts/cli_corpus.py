@@ -114,6 +114,9 @@ LARGER = [
     ["tamari-fiber", "--tree", f"({path(60)} {path(60)})"],
     ["stirling", "--n", "-1"],
     ["euler", "--tree", "(() ())", "--q", "1000003", "--q", "1000004", "--q", "618970019642690137449562111"],
+    # values of over a million digits, refused before they are computed
+    ["phi", "--tree", path(300), "--eval=1e4299"],
+    ["euler", "--tree", path(300), "--q", "2", "--q", str(2**14000)],
 ]
 
 

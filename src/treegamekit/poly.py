@@ -23,7 +23,7 @@ more: the cap on prunings still bounds the work, and ``pruning_profiles``
 checks it by counting first, in O(n), before any join runs.
 
 The product route folds coefficient tuples, and ``_times`` does every
-multiplication in it.  When the shorter factor has at most
+general multiplication in it.  When the shorter factor has at most
 ``SCHOOLBOOK`` terms it multiplies term by term.  Otherwise it uses
 Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
 Algebra*; Harvey, J. Symbolic Comput. 2009): each factor is packed into
@@ -38,13 +38,20 @@ would borrow from its neighbour, and the bytes would no longer be the
 coefficients.  Game polynomials have none; ``Poly.__mul__`` stays the
 general signed product.
 
-At each vertex the factors (1, *phi_k) are multiplied in pairs, level
-by level, so that a vertex with k leaves costs products of balanced
-lengths (where the packing pays) rather than k - 1 products of a
-growing factor with 1 + q.  ``SCHOOLBOOK`` = 16 is measured, with
-``game_polynomial`` alone on the trees of the benchmark's ``big-trees`` and
-``small-queries`` workloads: 8 and 32 do no better, and 2 and 4 do worse
-(the timings are in CHANGES.md).
+A leaf's phi is 1, so a vertex's k leaves contribute (1 + q)^k, whose
+coefficients are the binomial numbers C(k, j).  When a vertex has only
+leaves, its polynomial is that row, built by the exact recurrence
+C(k, j + 1) = C(k, j) * (k - j) // (j + 1) with no product at all.
+Otherwise the factors (1, *phi_k) of its other children are multiplied
+in pairs, level by level, so that products have balanced lengths (where
+the packing pays) rather than a growing factor times short ones; the
+result is then multiplied by 1 + q once per leaf, each time added to
+itself shifted one place up, which ``map`` does in C.
+
+``SCHOOLBOOK`` = 16 is measured, with ``game_polynomial`` alone on the
+trees of the benchmark's ``big-trees`` and ``small-queries`` workloads:
+8 and 32 do no better, and 2 and 4 do worse (the timings are in
+CHANGES.md).
 
 Text form is ascending with explicit carets, e.g. ``1 + 2*q + 3*q^2``;
 JSON form is the ascending coefficient list.
@@ -55,6 +62,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Iterable
 
 from .tree import PlaneTree, _fold, index_tree, vertex_count
@@ -180,12 +189,23 @@ def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _product(node: PlaneTree, phis: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The factors (1, *phi) multiplied pairwise, level by level."""
-    factors = [(1, *phi) for phi in phis]
+    """The factors (1, *phi) of the children that are not leaves multiplied
+    pairwise, level by level, then 1 + q once per leaf by a shift-add; with
+    no such factor, the leaves' (1 + q)^k as the binomial row C(k, 0..k)."""
+    factors = [(1, *phi) for phi in phis if len(phi) > 1]
+    leaves = len(phis) - len(factors)
+    if not factors:
+        row = [1]
+        for j in range(leaves):
+            row.append(row[j] * (leaves - j) // (j + 1))
+        return tuple(row)
     while len(factors) > 1:
         paired = [_times(a, b) for a, b in zip(factors[::2], factors[1::2])]
         factors = paired + factors[2 * len(paired) :]
-    return factors[0] if factors else (1,)
+    out = factors[0]
+    for _ in range(leaves):
+        out = tuple(map(add, chain(out, (0,)), chain((0,), out)))
+    return out
 
 
 def game_polynomial(t: PlaneTree) -> Poly:

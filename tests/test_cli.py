@@ -408,6 +408,28 @@ class TestPhi:
         with no_digit_limit():
             assert cli._fraction("3e4400") == 3 * 10**4400
 
+    @needs_digit_limit
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_value_past_the_cap_is_refused(self, capsys, sign):
+        # a path of n vertices has phi = 1 + q + ... + q^(n-1), whose value
+        # at 10^(limit-1), or at its inverse, is bounded by
+        # log10 n + (n-1)(limit-1) + 1 digits: within the cap of
+        # VALUE_DIGITS_FACTOR * limit for n = factor + 1, past it for one
+        # vertex more
+        limit, factor = sys.get_int_max_str_digits(), cli.VALUE_DIGITS_FACTOR
+        q = f"1e{sign}{limit - 1}"
+        code, blob, err = run(capsys, "--json", "phi", "--tree", "(" * (factor + 1) + ")" * (factor + 1), f"--eval={q}")
+        assert (code, err) == (0, "")
+        with no_digit_limit():
+            assert json.loads(blob)["eval"]["value"] == str(sum(Fraction(q) ** j for j in range(factor + 1)))
+        bound = int(math.log10(factor + 2) + (factor + 1) * (limit - 1)) + 1
+        message = f"the value at q could have {bound} digits, over the cap of {factor * limit}"
+        for via in ("recursion", "prunings"):
+            argv = ["phi", "--via", via, "--tree", "(" * (factor + 2) + ")" * (factor + 2), f"--eval={q}"]
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+            code, out, err = run(capsys, "--json", *argv)
+            assert (code, json.loads(out)) == (2, {"error": message, "kind": "input"})
+
 
 class TestPrunings:
     def test_count_and_rgf(self, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -281,8 +282,10 @@ class TestTimes:
         self.check(small, wide)
 
     def test_balanced_reduction(self, monkeypatch):
-        # a star's 64 factors 1 + q meet in pairs, level by level: every
-        # product multiplies two factors of one length, 63 in all
+        # a star's 64 leaves are one binomial row, with no product at all;
+        # a root over 64 copies of (()) meets its factors 1 + q + q^2 in
+        # pairs, level by level: every product multiplies two factors of
+        # one length, 63 in all
         lengths = []
 
         def recording(a, b):
@@ -290,9 +293,53 @@ class TestTimes:
             return _times(a, b)
 
         monkeypatch.setattr(poly, "_times", recording)
-        assert game_polynomial(((),) * 64) == Poly(math.comb(64, k) for k in range(65))
+        assert game_polynomial(((),) * 64).coeffs == tuple(math.comb(64, j) for j in range(65))
+        assert lengths == []
+        assert game_polynomial((((),),) * 64) == product_oracle((((),),) * 64)
         assert len(lengths) == 63
         assert all(la == lb for la, lb in lengths), lengths
+
+
+class TestLeaves:
+    """A vertex's leaves contribute (1 + q)^k: the binomial row when they
+    are its only children, one shift-add each beside other children."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, SCHOOLBOOK, SCHOOLBOOK + 1, 64, 300])
+    def test_leaves_beside_other_children(self, k):
+        leaves = ((),) * k
+        siblings = ((((),), ()), path(5), ((),) * 3)
+        trees = [leaves]
+        for others in (siblings[:1], siblings):
+            trees += [leaves + others, others + leaves]
+            # the leaves in runs before, between and after the others
+            cuts = [i * k // (len(others) + 1) for i in range(len(others) + 2)]
+            interleaved = leaves[: cuts[1]]
+            for other, start, stop in zip(others, cuts[1:], cuts[2:]):
+                interleaved += (other,) + leaves[start:stop]
+            trees.append(interleaved)
+        for t in trees:
+            assert game_polynomial(t) == product_oracle(t)
+            assert game_polynomial((t, ())) == product_oracle((t, ()))  # as a non-leaf child itself
+
+    def test_binomial_rows(self):
+        # Pascal's rule from each row to the next, with row 0 = (1,),
+        # makes every row through 2,000 equal to math.comb's
+        row = (1,)
+        for k in range(2001):
+            got = poly._product((), [(1,)] * k)
+            assert got == row, k
+            if k <= 100 or k == 2000:
+                assert got == tuple(math.comb(k, j) for j in range(k + 1)), k
+            row = tuple(a + b for a, b in zip(row + (0,), (0,) + row))
+
+    def test_deep_caterpillar_does_not_recurse(self):
+        # a spine twice the recursion limit deep, with up to two leaves on
+        # either side of each spine vertex; at q = 1 the product counts
+        # prunings, 1 + (the child's count) per child
+        t = caterpillar(2 * sys.getrecursionlimit() + 1, 2, random.Random(8))
+        phi = game_polynomial(t)
+        assert len(phi.coeffs) == vertex_count(t)
+        assert phi(1) == _fold(t, iter, lambda node, counts: math.prod(1 + c for c in counts))
 
 
 class TestGamePolynomialAgainstOracle:
